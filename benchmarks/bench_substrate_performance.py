@@ -353,6 +353,22 @@ def test_write_bench_substrate_record():
             lambda: engine32.error_and_gradient_wrt_mask(masks, targets),
             grid=grid, batch=batch)
 
+    # Batch-1 at 128 px: the shape of every ILT step in Table 2 at the
+    # 128 px benchmark grid, where the coarse-grid stage saves most.
+    big_grid = 128
+    big_engine = LithoEngine.for_kernels(
+        build_kernels(LithoConfig.small(big_grid)), precision="f64")
+    big_masks = _mask_batch(big_grid, 1)
+    big_targets = _target_batch(big_grid, 1)
+    recorder.timeit(f"engine_forward/grid{big_grid}/batch1",
+                    lambda: big_engine.aerial(big_masks),
+                    grid=big_grid, batch=1)
+    recorder.timeit(
+        f"engine_gradient/grid{big_grid}/batch1",
+        lambda: big_engine.error_and_gradient_wrt_mask(big_masks,
+                                                       big_targets),
+        grid=big_grid, batch=1)
+
     # Backend seam: an engine built on the explicit numpy backend must
     # cost the same as the default inline path (the seam is free), and
     # a full ILT-guided pretrain step records the end-to-end f64 vs f32

@@ -28,7 +28,7 @@ numpy.  :func:`get_backend` returns the process-wide default used by
 ``repro.nn``.
 
 The companion :mod:`repro.backend.autotune` module picks per-hardware
-batch-chunk and passband-block sizes from measured timings scored
+batch-chunk sizes from measured timings scored
 against the profiler's exact per-op FLOP closed forms, and persists
 the winners as config presets (``benchmarks/autotune_presets.json``).
 """

@@ -12,7 +12,8 @@ x batch sizes {1, 3}.
 import numpy as np
 import pytest
 
-from repro.litho import LithoConfig, LithoEngine, build_kernels, real_spectrum
+from repro.litho import (ConditionSet, LithoConfig, LithoEngine, build_kernels,
+                         real_spectrum)
 from repro.litho.resist import sigmoid_mask, _stable_sigmoid
 
 GRIDS = (16, 32)
@@ -189,6 +190,21 @@ class TestSpectrum:
 
 
 class TestEngineInterface:
+    def test_explicit_zero_resist_steepness_is_honored(self):
+        """``resist_steepness=0.0`` is a flat sigmoid (0.5 everywhere),
+        not a request for the config default; ``None`` is."""
+        engine = _engine(16)
+        mask = _mask_batch(16, 1)[0]
+        np.testing.assert_array_equal(
+            engine.relaxed_wafer(mask, resist_steepness=0.0), 0.5)
+        assert not np.all(engine.relaxed_wafer(mask) == 0.5)
+        corners = LithoEngine.for_conditions(engine.kernels,
+                                             ConditionSet.dose_corners())
+        np.testing.assert_array_equal(
+            corners.condition_relaxed_wafers(mask, resist_steepness=0.0),
+            0.5)
+        assert not np.all(corners.condition_relaxed_wafers(mask) == 0.5)
+
     def test_for_kernels_is_memoized(self):
         kernels = build_kernels(LithoConfig.small(16))
         assert LithoEngine.for_kernels(kernels) is \

@@ -100,7 +100,7 @@ class TestEnginePrecision:
         spectrum = real_spectrum(masks)
         aerial_direct = engine.aerial(masks)
         batch, _ = engine._as_batch(masks)
-        aerial_from_spec, _ = engine._forward_impl(batch, 1.0, False,
+        aerial_from_spec, _ = engine._forward_impl(batch, 1.0,
                                                    spectrum=spectrum)
         np.testing.assert_allclose(aerial_from_spec, aerial_direct,
                                    rtol=1e-10, atol=1e-12)
