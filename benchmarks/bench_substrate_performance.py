@@ -13,7 +13,8 @@ CPU scale a user can push):
 * f64 vs f32 ILT-guided pretrain steps (end-to-end f32 training),
 * serial vs multiprocess per-clip ILT (the ``repro.parallel`` layer),
 * one generator forward pass,
-* one full Algorithm 1 training iteration.
+* one full Algorithm 1 training iteration (also recorded, at the
+  ``train64`` shape, as ``nn_gan_step``).
 
 The engine benchmarks also pin the perf-work acceptance bars: a single
 batched :class:`LithoEngine` gradient call must be at least twice as
@@ -212,6 +213,22 @@ def _pretrainer(kernels, precision, batch):
     return pretrainer, targets
 
 
+def _gan_trainer(grid):
+    """A GAN trainer at the small config (batch 4, no litho term, as
+    the ``train64`` benchmark trains) plus one target/reference batch."""
+    config = GanOpcConfig.small(grid)
+    generator = MaskGenerator(config.generator_channels,
+                              rng=np.random.default_rng(0))
+    discriminator = PairDiscriminator(grid, config.discriminator_channels,
+                                      rng=np.random.default_rng(1))
+    trainer = GanOpcTrainer(generator, discriminator, config)
+    rng = np.random.default_rng(2)
+    targets = (rng.random((config.batch_size, 1, grid, grid))
+               > 0.8).astype(float)
+    masks = np.clip(targets + 0.1 * rng.random(targets.shape), 0, 1)
+    return trainer, targets, masks
+
+
 def test_f32_pretrain_step_at_least_1p5x_f64():
     """End-to-end f32 acceptance bar: a full ILT-guided pretrain step
     (generator forward + litho gradient + backward + Adam) in f32 must
@@ -393,6 +410,15 @@ def test_write_bench_substrate_record():
             grid=grid, batch=batch, backend="numpy", precision=precision,
             repeats=3)
 
+    # One Algorithm 1 iteration (generator + discriminator step) at
+    # the shape ``train64`` trains: pure nn conv/deconv/batch-norm work.
+    trainer, gan_targets, gan_masks = _gan_trainer(grid)
+    gan_batch = gan_targets.shape[0]
+    recorder.timeit(
+        f"nn_gan_step/grid{grid}/batch{gan_batch}",
+        lambda: trainer.train_iteration(gan_targets, gan_masks),
+        grid=grid, batch=gan_batch)
+
     # Autotuner: measure the candidate grid on the live engine, adopt
     # the winner, and record the tuned gradient throughput next to the
     # untuned reference above.  The chosen candidate is stored in the
@@ -549,6 +575,7 @@ def test_write_bench_substrate_record():
     assert f"backend_numpy_gradient/grid{grid}/batch8" in entries
     assert f"backend_pretrain_step/grid{grid}/batch8/f64" in entries
     assert f"backend_pretrain_step/grid{grid}/batch8/f32" in entries
+    assert f"nn_gan_step/grid{grid}/batch4" in entries
     assert f"autotune_gradient/grid{grid}/batch8" in entries
     assert "candidate" in entries[f"autotune_gradient/grid{grid}/batch8"]
     assert f"engine_condition_forward/grid{grid}/batch8/corners4" in entries
@@ -578,13 +605,5 @@ def test_generator_forward(benchmark):
 
 
 def test_algorithm1_iteration(benchmark):
-    config = GanOpcConfig.small(64)
-    generator = MaskGenerator(config.generator_channels,
-                              rng=np.random.default_rng(0))
-    discriminator = PairDiscriminator(64, config.discriminator_channels,
-                                      rng=np.random.default_rng(1))
-    trainer = GanOpcTrainer(generator, discriminator, config)
-    rng = np.random.default_rng(2)
-    targets = (rng.random((config.batch_size, 1, 64, 64)) > 0.8).astype(float)
-    masks = np.clip(targets + 0.1 * rng.random(targets.shape), 0, 1)
+    trainer, targets, masks = _gan_trainer(64)
     benchmark(trainer.train_iteration, targets, masks)

@@ -11,7 +11,7 @@ backend the identical lowering for free.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 
 def im2col(xp, x, kernel: Tuple[int, int], stride: Tuple[int, int],
@@ -32,7 +32,11 @@ def im2col(xp, x, kernel: Tuple[int, int], stride: Tuple[int, int],
             f"convolution output would be empty: input {h}x{w}, "
             f"kernel {kh}x{kw}, stride {sh}x{sw}, padding {ph}x{pw}")
     if ph or pw:
-        x = xp.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+        # A zero frame plus one copy: ``xp.pad``'s generic machinery
+        # costs more than the copy itself at network sizes.
+        padded = xp.zeros((n, c, h + 2 * ph, w + 2 * pw), dtype=x.dtype)
+        padded[:, :, ph:ph + h, pw:pw + w] = x
+        x = padded
     sn, sc, sh_, sw_ = x.strides
     shape = (n, c, kh, kw, oh, ow)
     strides = (sn, sc, sh_, sw_, sh_ * sh, sw_ * sw)

@@ -156,11 +156,21 @@ class EngineStats:
         now = self.snapshot()
         return {key: now[key] - previous.get(key, 0) for key in now}
 
-    def since(self, baseline: Dict[str, float]) -> Dict[str, float]:
+    def since(self, baseline: Dict[str, float],
+              earlier: Optional[Dict[str, float]] = None
+              ) -> Dict[str, float]:
         """Float per-field increase over ``baseline``, read straight
         from the counters: the cheap form of :meth:`delta` (no int
-        conversion) for the worker pool's per-task bookkeeping."""
-        return {name: counter.value - baseline[name]
+        conversion) for the worker pool's per-task bookkeeping.
+
+        With ``earlier`` (a previous reading over the same baseline,
+        where a missing field reads 0) the result is the increase since
+        that reading, built in the same pass that reads the counters.
+        """
+        if earlier is None:
+            return {name: counter.value - baseline[name]
+                    for name, counter in self._counter_items}
+        return {name: counter.value - baseline[name] - earlier.get(name, 0.0)
                 for name, counter in self._counter_items}
 
     def reset(self) -> None:

@@ -6,10 +6,14 @@ are built from, plus the pooling / interpolation operations the paper's
 resolution bridge uses (8x8 average pooling before the network, linear
 interpolation after — Section 4).
 
-Convolutions are computed with im2col/col2im lowering so that both the
-forward pass and all three backward products (input, weight, bias) are
-single BLAS calls — the only way a pure-numpy CNN trains in reasonable
-time.
+Convolutions are lowered to one patch gather (im2col) plus one BLAS
+GEMM per product — the only way a pure-numpy CNN trains in reasonable
+time.  The forward pass gathers the input; the weight gradient reuses
+those cached columns; the input gradient and the transposed
+convolution, which are the same adjoint, gather the upstream in a
+sub-pixel (per-stride-phase) decomposition instead of scattering
+columns back with col2im (DESIGN.md §3b).  ``col2im`` remains only for
+the pooling backward passes.
 """
 
 from __future__ import annotations
@@ -28,12 +32,13 @@ from .tensor import Tensor, is_grad_enabled
 
 IntPair = Union[int, Tuple[int, int]]
 
-#: Module-level scratch arena for the convolution lowering.  Only the
+#: Module-level scratch arena for the convolution gathers.  Only the
 #: *inference* path draws from it: with autograd enabled the forward
 #: columns are cached in the backward closure (so the weight gradient
 #: never recomputes im2col) and must therefore own their memory, while
-#: in eval mode ``Tensor._make`` drops the closure and the columns can
-#: safely live in reused scratch.
+#: in eval mode ``Tensor._make`` drops the closure and the columns (and
+#: the upstream gather of a transposed convolution) can safely live in
+#: reused scratch.
 _WORKSPACE = Workspace()
 
 
@@ -75,13 +80,79 @@ def im2col(x: np.ndarray, kernel: Tuple[int, int], stride: Tuple[int, int],
 def col2im(cols: np.ndarray, image_shape: Tuple[int, int, int, int],
            kernel: Tuple[int, int], stride: Tuple[int, int],
            padding: Tuple[int, int]) -> np.ndarray:
-    """Scatter-add columns back into an image (adjoint of :func:`im2col`)."""
+    """Scatter-add columns back into an image (adjoint of :func:`im2col`).
+
+    Only the pooling backward passes use it; convolutions never scatter.
+    """
     return _backend_ops.col2im(np, cols, image_shape, kernel, stride, padding)
 
 
 # ----------------------------------------------------------------------
 # Convolution
 # ----------------------------------------------------------------------
+def _phase_weight(weight: np.ndarray, stride: Tuple[int, int],
+                  taps: Tuple[int, int]) -> np.ndarray:
+    """Stack ``weight`` ``(F, C, KH, KW)`` by output phase.
+
+    Row ``(rh, rw, c)``, column ``(f, uh, uw)`` holds
+    ``weight[f, c, rh + sh * (TH - 1 - uh), rw + sw * (TW - 1 - uw)]``:
+    the taps of phase ``r`` in reversed order, zero past the kernel.
+    """
+    f, c, kh, kw = weight.shape
+    (sh, sw), (th, tw) = stride, taps
+    padded = np.zeros((f, c, th * sh, tw * sw), dtype=weight.dtype)
+    padded[:, :, :kh, :kw] = weight
+    phased = padded.reshape(f, c, th, sh, tw, sw)[:, :, ::-1, :, ::-1, :]
+    return phased.transpose(3, 5, 1, 0, 2, 4).reshape(sh * sw * c,
+                                                      f * th * tw)
+
+
+def _conv2d_adjoint(grad: np.ndarray, weight: np.ndarray,
+                    size: Tuple[int, int], stride: Tuple[int, int],
+                    padding: Tuple[int, int]) -> np.ndarray:
+    """Adjoint of :func:`conv2d` with respect to its input.
+
+    ``grad`` ``(N, F, OH, OW)`` is mapped through ``weight``
+    ``(F, C, KH, KW)`` to an ``(N, C, *size)`` image, with no scatter:
+    each output phase ``r`` (position ``≡ r`` mod stride in the padded
+    frame) only meets the taps ``r + stride * t``, so all phases are one
+    gather of ``grad`` with a ``T×T`` window at stride 1 and one GEMM
+    against :func:`_phase_weight`; a depth-to-space copy interleaves the
+    phases and a crop removes the padding.  Derivation in DESIGN.md §3b.
+    """
+    n, f, oh, ow = grad.shape
+    c = weight.shape[1]
+    taps, starts, counts, leads = [], [], [], []
+    for x, k, s, p in zip(size, weight.shape[2:], stride, padding):
+        t = -(-k // s)                       # taps per phase, ceil(k/s)
+        q0 = p // s                          # first coarse row kept
+        taps.append(t)
+        starts.append(p - s * q0)            # crop inside the interleave
+        counts.append(-(-(x + p) // s) - q0)
+        leads.append(t - 1 - q0)             # front zero rows (or cut)
+    (th, tw), (qh, qw) = taps, counts
+    # Upstream placed in a zero frame of (Q + T - 1) rows and columns:
+    # frame row m holds grad row m - lead.
+    frame = np.zeros((n, f, qh + th - 1, qw + tw - 1), dtype=grad.dtype)
+    src, dst = [], []
+    for o, lead, length in zip((oh, ow), leads, frame.shape[2:]):
+        lo, hi = max(lead, 0), min(lead + o, length)
+        src.append(slice(lo - lead, hi - lead))
+        dst.append(slice(lo, hi))
+    frame[:, :, dst[0], dst[1]] = grad[:, :, src[0], src[1]]
+    scratch = None
+    if not is_grad_enabled():
+        scratch = _WORKSPACE.get(("adjoint.cols", n, f * th * tw, qh * qw),
+                                 (n, f * th * tw, qh * qw), frame.dtype)
+    cols = im2col(frame, (th, tw), (1, 1), (0, 0), out=scratch)
+    phased = np.matmul(_phase_weight(weight, stride, (th, tw)), cols)
+    sh, sw = stride
+    full = phased.reshape(n, sh, sw, c, qh, qw).transpose(
+        0, 3, 4, 1, 5, 2).reshape(n, c, qh * sh, qw * sw)
+    (ch, cw), (xh, xw) = starts, size
+    return full[:, :, ch:ch + xh, cw:cw + xw]
+
+
 def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
            stride: IntPair = 1, padding: IntPair = 0) -> Tensor:
     """2-D cross-correlation over NCHW input.
@@ -117,17 +188,21 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
     parents = (x, weight) if bias is None else (x, weight, bias)
 
     def backward(grad):
-        grad_flat = np.ascontiguousarray(grad.reshape(n, f, -1))  # (N, F, L)
-        # Batched GEMMs (einsum here would bypass BLAS): the weight
-        # gradient contracts the cached forward columns per sample and
-        # sums; the input gradient broadcasts ``w_flat.T`` over the
-        # batch before the col2im scatter.
-        grad_w = np.matmul(grad_flat, cols.transpose(0, 2, 1)).sum(axis=0)
-        grad_cols = np.matmul(w_flat.T, grad_flat)                # (N, K, L)
-        grad_x = col2im(grad_cols, (n, c, h, w), (kh, kw), stride, padding)
-        grads = [grad_x, grad_w.reshape(weight.shape)]
+        # Each product runs only for a parent that takes a gradient
+        # (detached inputs and network inputs do not).
+        grads = [None, None]
+        if x.requires_grad:
+            grads[0] = _conv2d_adjoint(grad, weight.data, (h, w), stride,
+                                       padding)
+        if weight.requires_grad:
+            # Batched GEMM (einsum here would bypass BLAS) against the
+            # cached forward columns, summed over the batch.
+            grad_flat = np.ascontiguousarray(grad.reshape(n, f, -1))
+            grads[1] = np.matmul(grad_flat, cols.transpose(0, 2, 1)
+                                 ).sum(axis=0).reshape(weight.shape)
         if bias is not None:
-            grads.append(grad.sum(axis=(0, 2, 3)))
+            grads.append(grad.sum(axis=(0, 2, 3))
+                         if bias.requires_grad else None)
         return tuple(grads)
 
     if prof is not None:
@@ -162,29 +237,28 @@ def conv_transpose2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
 
     prof = _profiler.ACTIVE
     started = time.perf_counter() if prof is not None else 0.0
-    w_flat = weight.data.reshape(c, f * kh * kw)               # (C, F*KH*KW)
-    x_flat = x.data.reshape(n, c, h * w)                       # (N, C, L)
-    scratch = None
-    if not is_grad_enabled():
-        dtype = np.result_type(w_flat.dtype, x_flat.dtype)
-        scratch = _WORKSPACE.get(
-            ("deconv2d.cols", n, f * kh * kw, h * w),
-            (n, f * kh * kw, h * w), dtype)
-    cols = np.matmul(w_flat.T, x_flat, out=scratch)            # (N, F*KH*KW, L)
-    out = col2im(cols, (n, f, oh, ow), (kh, kw), stride, padding)
+    out = _conv2d_adjoint(x.data, weight.data, (oh, ow), stride, padding)
     if bias is not None:
         out = out + bias.data.reshape(1, f, 1, 1)
+    else:
+        out = np.ascontiguousarray(out)
 
     parents = (x, weight) if bias is None else (x, weight, bias)
 
     def backward(grad):
-        grad_cols = im2col(grad, (kh, kw), stride, padding)    # (N, F*KH*KW, L)
-        grad_x = np.matmul(w_flat, grad_cols).reshape(n, c, h, w)
-        grad_w = np.matmul(x_flat, grad_cols.transpose(0, 2, 1)
-                           ).sum(axis=0).reshape(weight.shape)
-        grads = [grad_x, grad_w]
+        grads = [None, None]
+        if x.requires_grad or weight.requires_grad:
+            grad_cols = im2col(grad, (kh, kw), stride, padding)  # (N, F*KH*KW, L)
+            if x.requires_grad:
+                grads[0] = np.matmul(weight.data.reshape(c, f * kh * kw),
+                                     grad_cols).reshape(n, c, h, w)
+            if weight.requires_grad:
+                grads[1] = np.matmul(x.data.reshape(n, c, h * w),
+                                     grad_cols.transpose(0, 2, 1)
+                                     ).sum(axis=0).reshape(weight.shape)
         if bias is not None:
-            grads.append(grad.sum(axis=(0, 2, 3)))
+            grads.append(grad.sum(axis=(0, 2, 3))
+                         if bias.requires_grad else None)
         return tuple(grads)
 
     if prof is not None:
@@ -283,49 +357,51 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
     ``running_mean`` / ``running_var`` are plain arrays updated in place
     during training, used directly in eval mode.
     """
-    if x.ndim == 4:
-        axes = (0, 2, 3)
-        shape = (1, -1, 1, 1)
-        count = x.shape[0] * x.shape[2] * x.shape[3]
-    elif x.ndim == 2:
-        axes = (0,)
-        shape = (1, -1)
-        count = x.shape[0]
-    else:
+    if x.ndim not in (2, 4):
         raise ValueError(f"batch_norm expects 2D or 4D input, got {x.ndim}D")
+    # Work on an (N, C, L) view: every per-channel statistic is a
+    # reduction over axes (0, 2) and broadcasts as (1, C, 1).
+    n, c = x.shape[:2]
+    count = x.size // c
+    shape = (1, c, 1)
+    data = x.data.reshape(n, c, -1)
 
     if training:
-        mean = x.data.mean(axis=axes)
-        var = x.data.var(axis=axes)
+        mean = data.sum(axis=(0, 2)) / count
+        x_hat = data - mean.reshape(shape)
+        var = np.einsum("ncl,ncl->c", x_hat, x_hat) / count
         running_mean *= (1.0 - momentum)
         running_mean += momentum * mean
         unbiased = var * count / max(count - 1, 1)
         running_var *= (1.0 - momentum)
         running_var += momentum * unbiased
     else:
-        mean = running_mean
         var = running_var
+        x_hat = data - running_mean.reshape(shape)
 
     inv_std = 1.0 / np.sqrt(var + eps)
-    x_hat = (x.data - mean.reshape(shape)) * inv_std.reshape(shape)
-    out = gamma.data.reshape(shape) * x_hat + beta.data.reshape(shape)
+    x_hat *= inv_std.reshape(shape)
+    out = x_hat * gamma.data.reshape(shape)
+    out += beta.data.reshape(shape)
 
     def backward(grad):
-        g = gamma.data.reshape(shape)
-        grad_gamma = (grad * x_hat).sum(axis=axes)
-        grad_beta = grad.sum(axis=axes)
-        if training:
-            # Full batch-norm backward through the batch statistics.
-            gx_hat = grad * g
-            grad_x = (gx_hat
-                      - gx_hat.mean(axis=axes, keepdims=True)
-                      - x_hat * (gx_hat * x_hat).mean(axis=axes, keepdims=True)
-                      ) * inv_std.reshape(shape)
-        else:
-            grad_x = grad * g * inv_std.reshape(shape)
+        grad = grad.reshape(n, c, -1)
+        grad_beta = grad.sum(axis=(0, 2))
+        grad_gamma = np.einsum("ncl,ncl->c", grad, x_hat)
+        grad_x = None
+        if x.requires_grad:
+            scale = gamma.data * inv_std
+            grad_x = grad * scale.reshape(shape)
+            if training:
+                # Through the batch statistics: the two per-channel means
+                # of the textbook formula are the sums already taken for
+                # beta and gamma, over ``count``.
+                grad_x -= x_hat * (scale * grad_gamma / count).reshape(shape)
+                grad_x -= (scale * grad_beta / count).reshape(shape)
+            grad_x = grad_x.reshape(x.shape)
         return (grad_x, grad_gamma, grad_beta)
 
-    return Tensor._make(out, (x, gamma, beta), backward)
+    return Tensor._make(out.reshape(x.shape), (x, gamma, beta), backward)
 
 
 # ----------------------------------------------------------------------

@@ -275,7 +275,8 @@ class Tensor:
         a, b = self, other
 
         def backward(grad):
-            return (_unbroadcast(grad, a.shape), _unbroadcast(grad, b.shape))
+            return (_unbroadcast(grad, a.shape) if a.requires_grad else None,
+                    _unbroadcast(grad, b.shape) if b.requires_grad else None)
 
         return Tensor._make(a.data + b.data, (a, b), backward)
 
@@ -286,7 +287,8 @@ class Tensor:
         a, b = self, other
 
         def backward(grad):
-            return (_unbroadcast(grad, a.shape), _unbroadcast(-grad, b.shape))
+            return (_unbroadcast(grad, a.shape) if a.requires_grad else None,
+                    _unbroadcast(-grad, b.shape) if b.requires_grad else None)
 
         return Tensor._make(a.data - b.data, (a, b), backward)
 
@@ -298,8 +300,10 @@ class Tensor:
         a, b = self, other
 
         def backward(grad):
-            return (_unbroadcast(grad * b.data, a.shape),
-                    _unbroadcast(grad * a.data, b.shape))
+            return (_unbroadcast(grad * b.data, a.shape)
+                    if a.requires_grad else None,
+                    _unbroadcast(grad * a.data, b.shape)
+                    if b.requires_grad else None)
 
         return Tensor._make(a.data * b.data, (a, b), backward)
 
@@ -310,8 +314,10 @@ class Tensor:
         a, b = self, other
 
         def backward(grad):
-            return (_unbroadcast(grad / b.data, a.shape),
-                    _unbroadcast(-grad * a.data / (b.data ** 2), b.shape))
+            return (_unbroadcast(grad / b.data, a.shape)
+                    if a.requires_grad else None,
+                    _unbroadcast(-grad * a.data / (b.data ** 2), b.shape)
+                    if b.requires_grad else None)
 
         return Tensor._make(a.data / b.data, (a, b), backward)
 
@@ -342,12 +348,16 @@ class Tensor:
         a, b = self, other
 
         def backward(grad):
-            if a.data.ndim == 2 and b.data.ndim == 2:
-                return (grad @ b.data.T, a.data.T @ grad)
-            # Batched matmul: contract over the last two axes, sum the rest.
-            ga = grad @ np.swapaxes(b.data, -1, -2)
-            gb = np.swapaxes(a.data, -1, -2) @ grad
-            return (_unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape))
+            ga = gb = None
+            # Batched matmul contracts over the last two axes and sums
+            # the rest.
+            if a.requires_grad:
+                ga = _unbroadcast(grad @ np.swapaxes(b.data, -1, -2),
+                                  a.shape)
+            if b.requires_grad:
+                gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ grad,
+                                  b.shape)
+            return (ga, gb)
 
         prof = _profiler.ACTIVE
         started = time.perf_counter() if prof is not None else 0.0
@@ -604,8 +614,10 @@ def where(condition: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
     cond = np.asarray(condition, dtype=bool)
 
     def backward(grad):
-        return (_unbroadcast(grad * cond, a.shape),
-                _unbroadcast(grad * (~cond), b.shape))
+        return (_unbroadcast(grad * cond, a.shape)
+                if a.requires_grad else None,
+                _unbroadcast(grad * (~cond), b.shape)
+                if b.requires_grad else None)
 
     return Tensor._make(np.where(cond, a.data, b.data), (a, b), backward)
 
@@ -616,8 +628,10 @@ def maximum(a: Tensor, b: Tensor) -> Tensor:
     take_a = a.data >= b.data
 
     def backward(grad):
-        return (_unbroadcast(grad * take_a, a.shape),
-                _unbroadcast(grad * (~take_a), b.shape))
+        return (_unbroadcast(grad * take_a, a.shape)
+                if a.requires_grad else None,
+                _unbroadcast(grad * (~take_a), b.shape)
+                if b.requires_grad else None)
 
     return Tensor._make(np.maximum(a.data, b.data), (a, b), backward)
 

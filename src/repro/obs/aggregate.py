@@ -88,10 +88,11 @@ def capture_task(tracer: Optional[Tracer], profiler: Optional[Any],
     """Condense a finished task's tracer/profiler into telemetry.
 
     Worker-side.  ``tracer``/``profiler`` may be ``None`` (telemetry
-    shipping off) — the engine delta still ships.
+    shipping off) — the engine delta still ships.  ``engine_delta`` is
+    kept as given, not copied: the caller builds it for this task.
     """
     telemetry = TaskTelemetry(pid=os.getpid(), seconds=seconds,
-                              engine_delta=dict(engine_delta))
+                              engine_delta=engine_delta)
     if tracer is not None:
         telemetry.epoch = tracer.epoch
         telemetry.span_summary = tracer.summary()

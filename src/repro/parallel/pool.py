@@ -164,22 +164,28 @@ def attach_array(spec: ShmSpec):
     return shared.array
 
 
-def _engine_totals() -> Dict[str, float]:
-    """Summed litho-counter snapshot over this worker's warm engines.
+def _engine_totals(earlier: Optional[Dict[str, float]] = None
+                   ) -> Dict[str, float]:
+    """Summed litho-counter reading over this worker's warm engines.
 
     Each engine's registration-time baseline is subtracted, so totals
-    reflect only calls made in this worker process.  Runs twice per
-    task, so it reads the counters through :meth:`EngineStats.since`
-    and returns that dict as is for the usual single warm engine.
+    reflect only calls made in this worker process.  With ``earlier``
+    (a previous reading) the result is the increase since then, built
+    in the same pass that reads the counters: a task reads once before
+    and once, as its delta, after.  The usual single warm engine reads
+    through :meth:`EngineStats.since` with no further dict.
     """
     engines = _WORKER_STATE["engines"]
     if len(engines) == 1:
         engine, baseline = engines[0]
-        return engine.stats.since(baseline)
+        return engine.stats.since(baseline, earlier)
     totals: Dict[str, float] = {}
     for engine, baseline in engines:
         for name, value in engine.stats.since(baseline).items():
             totals[name] = totals.get(name, 0.0) + value
+    if earlier is not None:
+        for name in totals:
+            totals[name] -= earlier.get(name, 0.0)
     return totals
 
 
@@ -215,8 +221,7 @@ def _run_task(fn: Callable, args: Tuple, ship_telemetry: bool = False
             trace.disable()
             profiler.disable()
     seconds = time.perf_counter() - started
-    after = _engine_totals()
-    delta = {name: after[name] - before.get(name, 0.0) for name in after}
+    delta = _engine_totals(before)
     telemetry = obs_aggregate.capture_task(tracer, prof, delta, seconds)
     if heartbeat is not None:
         heartbeat.task_finished()

@@ -2,49 +2,84 @@
 
 The forward pass lowers patches with im2col once; the backward pass must
 reuse those cached columns for the weight gradient instead of re-running
-the gather (the gather is ~a third of a conv step's time).  In eval mode
-the closure is dropped, so the columns may live in the module workspace
-and be reused across calls.
+the gather (the gather is ~a third of a conv step's time).  The input
+gradient and the transposed convolution are one gather of the upstream
+plus one GEMM (sub-pixel decomposition), never a col2im scatter.  In
+eval mode the closure is dropped, so the columns may live in the module
+workspace and be reused across calls.
 """
 
 import numpy as np
+import pytest
 
+from repro.backend import ops as backend_ops
 from repro.nn import functional as F
 from repro.nn import no_grad
 from repro.nn.tensor import Tensor
 
 
 def _counting_im2col(monkeypatch):
+    """Record the shape of every image ``F.im2col`` gathers."""
     calls = []
     original = F.im2col
 
-    def wrapper(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
+    def wrapper(image, *args, **kwargs):
+        calls.append(image.shape)
+        return original(image, *args, **kwargs)
 
     monkeypatch.setattr(F, "im2col", wrapper)
     return calls
 
 
+@pytest.fixture
+def no_col2im(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("col2im scatter reached")
+
+    monkeypatch.setattr(F, "col2im", refuse)
+    monkeypatch.setattr(backend_ops, "col2im", refuse)
+
+
 class TestColumnCaching:
-    def test_conv2d_backward_reuses_forward_columns(self, monkeypatch, rng):
+    def test_conv2d_backward_reuses_forward_columns(self, monkeypatch, rng,
+                                                    no_col2im):
         calls = _counting_im2col(monkeypatch)
         x = Tensor(rng.normal(size=(2, 3, 8, 8)), requires_grad=True)
         w = Tensor(rng.normal(size=(4, 3, 3, 3)), requires_grad=True)
         out = F.conv2d(x, w, stride=1, padding=1)
-        assert len(calls) == 1
+        assert calls == [x.shape]
         (out ** 2).sum().backward()
-        # The weight gradient contracts the cached columns: no re-gather.
-        assert len(calls) == 1
+        # The weight gradient contracts the cached columns: no re-gather
+        # of x.  The input gradient gathers the 4-channel upstream once.
+        assert len(calls) == 2
+        assert calls[1][:2] == (2, 4)
+        assert x.grad.shape == x.shape and w.grad.shape == w.shape
 
-    def test_conv_transpose2d_backward_gathers_once(self, monkeypatch, rng):
+    def test_conv2d_backward_skips_input_gradient_without_grad(
+            self, monkeypatch, rng, no_col2im):
+        calls = _counting_im2col(monkeypatch)
+        x = Tensor(rng.normal(size=(2, 3, 8, 8)))
+        w = Tensor(rng.normal(size=(4, 3, 3, 3)), requires_grad=True)
+        out = F.conv2d(x, w, stride=2, padding=1)
+        (out ** 2).sum().backward()
+        # Only the forward gather: x takes no gradient, so the upstream
+        # is never gathered.
+        assert calls == [x.shape]
+        assert x.grad is None
+        assert w.grad.shape == w.shape
+
+    def test_conv_transpose2d_backward_gathers_once(self, monkeypatch, rng,
+                                                    no_col2im):
         calls = _counting_im2col(monkeypatch)
         x = Tensor(rng.normal(size=(2, 4, 4, 4)), requires_grad=True)
         w = Tensor(rng.normal(size=(4, 3, 3, 3)), requires_grad=True)
         out = F.conv_transpose2d(x, w, stride=2, padding=1)
-        assert len(calls) == 0  # forward needs no gather
+        assert len(calls) == 1  # forward: one gather of x
+        assert calls[0][:2] == (2, 4)
         (out ** 2).sum().backward()
-        assert len(calls) == 1  # one gather of the incoming gradient
+        assert len(calls) == 2  # backward: one gather of the upstream
+        assert calls[1] == out.shape
+        assert x.grad.shape == x.shape and w.grad.shape == w.shape
 
     def test_backward_matches_einsum_reference(self, rng):
         """The batched-matmul backward is the same math as the obvious

@@ -240,6 +240,92 @@ class TestBatchNorm:
                                    rtol=1e-4, atol=1e-6)
 
 
+def _batch_norm_textbook(x, gamma, beta, g, eps=1e-5):
+    """Train-mode output and gradients straight from the batch-norm
+    paper's formulas, per channel over every non-channel axis: biased
+    variance in the forward pass, and
+    dx = gamma / (m * std) * (m * g - sum(g) - x_hat * sum(g * x_hat))."""
+    axes = (0,) + tuple(range(2, x.ndim))
+    shape = (1, -1) + (1,) * (x.ndim - 2)
+    m = x.size // x.shape[1]
+    mean = x.mean(axis=axes, keepdims=True)
+    var = ((x - mean) ** 2).sum(axis=axes, keepdims=True) / m
+    std = np.sqrt(var + eps)
+    x_hat = (x - mean) / std
+    out = gamma.reshape(shape) * x_hat + beta.reshape(shape)
+    sum_g = g.sum(axis=axes, keepdims=True)
+    sum_gx = (g * x_hat).sum(axis=axes, keepdims=True)
+    dx = gamma.reshape(shape) / (m * std) * (m * g - sum_g - x_hat * sum_gx)
+    return out, dx, sum_gx.reshape(-1), sum_g.reshape(-1)
+
+
+class TestBatchNormTextbook:
+    """Batch norm against the textbook formulas to 1e-12, in both
+    modes and for 2-D ``(N, C)`` and 4-D ``(N, C, H, W)`` input."""
+
+    SHAPES = [(4, 3, 5, 7), (9, 4)]
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_training_forward_and_gradients(self, shape, rng):
+        c = shape[1]
+        x_data = rng.normal(2.0, 3.0, size=shape)
+        gamma_data, beta_data = rng.random(c) + 0.5, rng.normal(size=c)
+        g = rng.normal(size=shape)
+        x = Tensor(x_data, requires_grad=True)
+        gamma = Tensor(gamma_data, requires_grad=True)
+        beta = Tensor(beta_data, requires_grad=True)
+        out = F.batch_norm(x, gamma, beta, np.zeros(c), np.ones(c),
+                           training=True)
+        out.backward(g)
+        expected = _batch_norm_textbook(x_data, gamma_data, beta_data, g)
+        for actual, reference in zip((out.data, x.grad, gamma.grad,
+                                      beta.grad), expected):
+            np.testing.assert_allclose(actual, reference, rtol=1e-12,
+                                       atol=1e-12 * np.abs(reference).max())
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_running_statistics_use_unbiased_variance(self, shape, rng):
+        c = shape[1]
+        x_data = rng.normal(1.0, 2.0, size=shape)
+        start_mean, start_var = rng.normal(size=c), rng.random(c) + 0.5
+        rm, rv = start_mean.copy(), start_var.copy()
+        F.batch_norm(Tensor(x_data), Tensor(np.ones(c)), Tensor(np.zeros(c)),
+                     rm, rv, training=True, momentum=0.1)
+        axes = (0,) + tuple(range(2, len(shape)))
+        np.testing.assert_allclose(
+            rm, 0.9 * start_mean + 0.1 * x_data.mean(axis=axes), rtol=1e-12)
+        np.testing.assert_allclose(
+            rv, 0.9 * start_var + 0.1 * x_data.var(axis=axes, ddof=1),
+            rtol=1e-12)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_eval_is_affine_in_running_statistics(self, shape, rng):
+        c = shape[1]
+        bshape = (1, -1) + (1,) * (len(shape) - 2)
+        x_data = rng.normal(size=shape)
+        gamma_data, beta_data = rng.random(c) + 0.5, rng.normal(size=c)
+        rm, rv = rng.normal(size=c), rng.random(c) + 0.5
+        g = rng.normal(size=shape)
+        x = Tensor(x_data, requires_grad=True)
+        gamma = Tensor(gamma_data, requires_grad=True)
+        beta = Tensor(beta_data, requires_grad=True)
+        out = F.batch_norm(x, gamma, beta, rm.copy(), rv.copy(),
+                           training=False)
+        out.backward(g)
+        std = np.sqrt(rv + 1e-5).reshape(bshape)
+        x_hat = (x_data - rm.reshape(bshape)) / std
+        axes = (0,) + tuple(range(2, len(shape)))
+        np.testing.assert_allclose(
+            out.data, gamma_data.reshape(bshape) * x_hat
+            + beta_data.reshape(bshape), rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(x.grad, g * gamma_data.reshape(bshape)
+                                   / std, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(gamma.grad, (g * x_hat).sum(axis=axes),
+                                   rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(beta.grad, g.sum(axis=axes), rtol=1e-12,
+                                   atol=1e-12)
+
+
 class TestLosses:
     def test_mse_reductions(self):
         p = Tensor([1.0, 3.0])

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from repro.nn import functional as F
 from repro.nn.tensor import Tensor
 
 from ..conftest import numeric_gradient
@@ -105,3 +106,36 @@ class TestNumericAgreement:
         np.testing.assert_allclose(
             b.grad, numeric_gradient(objective, b_data), rtol=1e-4,
             atol=1e-6)
+
+
+@st.composite
+def conv_geometries(draw):
+    """A conv2d geometry with a nonempty output, plus an array seed."""
+    kernel = (draw(st.integers(1, 4)), draw(st.integers(1, 4)))
+    stride = (draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+    padding = (draw(st.integers(0, kernel[0] - 1)),
+               draw(st.integers(0, kernel[1] - 1)))
+    size = tuple(draw(st.integers(max(1, k - 2 * p), 9))
+                 for k, p in zip(kernel, padding))
+    channels = (draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+    return (kernel, stride, padding, size, channels,
+            draw(st.integers(0, 2 ** 32 - 1)))
+
+
+class TestConvAdjoint:
+    @given(conv_geometries())
+    @settings(max_examples=60, deadline=None)
+    def test_input_gradient_is_adjoint_of_forward(self, geometry):
+        """<conv2d(x), g> == <x, grad_x(g)> for any geometry: the input
+        gradient is the exact adjoint of the forward map."""
+        kernel, stride, padding, size, (c, f), seed = geometry
+        rng = np.random.default_rng(seed)
+        x = Tensor(rng.normal(size=(2, c) + size), requires_grad=True)
+        w = Tensor(rng.normal(size=(f, c) + kernel))
+        out = F.conv2d(x, w, stride=stride, padding=padding)
+        g = rng.normal(size=out.shape)
+        out.backward(g)
+        lhs = float((out.data * g).sum())
+        rhs = float((x.data * x.grad).sum())
+        scale = np.abs(out.data * g).sum() + np.abs(x.data * x.grad).sum()
+        assert abs(lhs - rhs) <= 1e-12 * scale

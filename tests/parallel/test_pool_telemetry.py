@@ -82,6 +82,35 @@ class TestEngineTotals:
             pool_mod._WORKER_STATE["engines"] = saved
 
 
+    def test_delta_since_earlier_reading(self, litho):
+        """``_engine_totals(before)`` is the task delta: calls since the
+        earlier reading, plus an engine registered in between counted
+        from its own registration baseline."""
+        from repro.litho import LithoEngine, build_kernels
+        from repro.parallel import pool as pool_mod
+
+        kernels = build_kernels(litho)
+        first, second = (LithoEngine(kernels=kernels) for _ in range(2))
+        mask = np.zeros((litho.grid, litho.grid))
+        second.aerial(mask)  # before registration: not counted
+        saved = pool_mod._WORKER_STATE["engines"]
+        engines = [(first, first.stats.snapshot())]
+        pool_mod._WORKER_STATE["engines"] = engines
+        try:
+            first.aerial(mask)
+            before = pool_mod._engine_totals()
+            first.aerial(np.stack([mask, mask]))
+            delta = pool_mod._engine_totals(before)
+            assert delta["forward_calls"] == 1
+            assert delta["forward_masks"] == 2
+            engines.append((second, second.stats.snapshot()))
+            second.aerial(mask)
+            delta = pool_mod._engine_totals(before)
+            assert delta["forward_calls"] == 2
+            assert delta["forward_masks"] == 3
+        finally:
+            pool_mod._WORKER_STATE["engines"] = saved
+
 class TestEngineDeltaShipping:
     def test_fleet_totals_count_worker_calls(self, litho):
         with WorkerPool(2, litho_config=litho, health=False) as pool:
