@@ -99,50 +99,56 @@ def forward_flops(grid: int, passband: Tuple[int, int], num_kernels: int,
                   batch: int, coarse: int) -> int:
     """Exact FLOPs of one batched engine forward (Eq. 2 pipeline).
 
-    Mirrors the engine's coarse-grid stage term by term on the
-    ``M x M`` grid, ``M = coarse`` (always ``LithoEngine.coarse_grid``;
-    ``M == grid`` is the clamped full-grid stage): the real-input
-    spectrum GEMM and the thin complex one, the passband products, the
-    folded inverse-DFT GEMM pair over all kernels, ``|F|^2``, the
-    kernel-weight contraction, and the Dirichlet interpolation back to
-    the grid (skipped when ``M == grid``).
+    Mirrors the engine's Hopkins stage term by term.  ``passband`` is
+    ``(P, Ph)``: the passband rows and the ``v >= 0`` half of its
+    columns the stage computes on (``LithoEngine.passband_shape[1]``);
+    ``num_kernels`` counts *real* kernels
+    (``LithoEngine.num_real_kernels``); ``M = coarse`` is the coarse
+    side (``LithoEngine.coarse_grid``; ``M == grid`` is the clamped
+    full-grid stage).  Terms: the real-input spectrum GEMM onto the
+    half columns and the thin complex row GEMM, the passband products,
+    per kernel the complex row GEMM and the real half-column GEMM that
+    writes the real field, ``G^2``, the kernel-weight contraction, and
+    the Dirichlet interpolation back to the grid (skipped when
+    ``M == grid``).
     """
-    r, c = passband
+    r, h = passband
     m = coarse
-    spec = (matmul_flops((batch, grid, grid), (grid, 2 * c))
-            + _cmatmul_flops((r, grid), (batch, grid, c)))
-    per_kernel = (6 * batch * r * c                       # compact * H_k
-                  + _cmatmul_flops((batch, r, c), (c, m))
-                  + _cmatmul_flops((m, r), (batch, r, m))
-                  + 2 * batch * m * m                     # |F|^2 parts
-                  + 4 * batch * m * m)                    # w_k contraction
-    combine = batch * m * m                               # re + im
+    spec = (matmul_flops((batch, grid, grid), (grid, 2 * h))
+            + _cmatmul_flops((r, grid), (batch, grid, h)))
+    per_kernel = (6 * batch * r * h                       # compact * R_j
+                  + _cmatmul_flops((m, r), (batch, r, h))
+                  + matmul_flops((batch, m, 2 * h), (2 * h, m))
+                  + batch * m * m                         # G_j^2
+                  + 2 * batch * m * m)                    # w_j contraction
+    interpolate = 0
     if m < grid:
-        combine += (matmul_flops((batch, m, m), (m, grid))
-                    + matmul_flops((grid, m), (batch, m, grid)))
-    return spec + combine + num_kernels * per_kernel
+        interpolate = (matmul_flops((batch, m, m), (m, grid))
+                       + matmul_flops((grid, m), (batch, m, grid)))
+    return spec + interpolate + num_kernels * per_kernel
 
 
-def adjoint_flops(grid: int, passband: Tuple[int, int],
-                  adjoint_passband: Tuple[int, int], num_kernels: int,
+def adjoint_flops(grid: int, passband: Tuple[int, int], num_kernels: int,
                   batch: int, coarse: int) -> int:
     """Exact FLOPs of one batched adjoint call (Eq. 14 pipeline),
-    including the nested forward: the projection of ``dE/dI`` onto
-    the coarse grid, ``conj(F_k) * g`` and the folded forward-DFT GEMM
-    pair onto the adjoint passband, the kernel-weighted sum, and the
-    real-part expansion back to the grid."""
-    ar, ac = adjoint_passband
+    including the nested forward (same arguments as
+    :func:`forward_flops`): the projection of ``dE/dI`` onto the
+    coarse grid, the real product ``G_j * g``, the real half-column
+    GEMM and the complex row GEMM onto the passband, the
+    ``2 w_j conj(R_j)`` scale and kernel sum, and the real-part
+    expansion from the half columns back to the grid."""
+    r, h = passband
     m = coarse
-    per_kernel = (6 * batch * m * m                       # conj * dE/dI
-                  + _cmatmul_flops((batch, m, m), (m, ac))
-                  + _cmatmul_flops((ar, m), (batch, m, ac))
-                  + 8 * batch * ar * ac)                  # scale + sum
+    per_kernel = (batch * m * m                           # G_j * dE/dI
+                  + matmul_flops((batch, m, m), (m, 2 * h))
+                  + _cmatmul_flops((r, m), (batch, m, h))
+                  + 8 * batch * r * h)                    # scale + sum
     project = 0
     if m < grid:
         project = (matmul_flops((m, grid), (batch, grid, grid))
                    + matmul_flops((batch, m, grid), (grid, m)))
-    expand = (_cmatmul_flops((grid, ar), (batch, ar, ac))
-              + matmul_flops((batch, grid, 2 * ac), (2 * ac, grid)))
+    expand = (_cmatmul_flops((grid, r), (batch, r, h))
+              + matmul_flops((batch, grid, 2 * h), (2 * h, grid)))
     resist = 12 * batch * grid * grid                     # sigmoid/err/up
     return (forward_flops(grid, passband, num_kernels, batch, m)
             + project + num_kernels * per_kernel + expand + resist)
@@ -256,12 +262,12 @@ def measure_engine(engine, batch: int = 8,
     targets = engine.backend.asarray(
         (rng.random((batch, grid, grid)) > 0.5), dtype=engine._rdtype)
 
-    (pb, apb) = engine.passband_shape
+    _, half = engine.passband_shape
     table = MeasurementTable(
         backend=engine.backend.name, precision=engine.precision,
         grid=grid, batch=batch,
-        flops=adjoint_flops(grid, pb, apb, len(engine.kernels.weights),
-                            batch, engine.coarse_grid))
+        flops=adjoint_flops(grid, half, engine.num_real_kernels, batch,
+                            engine.coarse_grid))
     for tuning in (default_candidates(batch) if candidates is None
                    else candidates):
         candidate = LithoEngine(kernels=engine.kernels,

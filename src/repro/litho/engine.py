@@ -16,20 +16,27 @@ single code path and caches derived kernel tensors at construction.
 
 The kernels are bandlimited by the pupil cutoff: at grid 64 each
 ``H_k`` is exactly zero outside a 13x13 block of frequency rows and
-columns (25x25 at grid 128).  The engine slices every kernel (and its
-flipped adjoint) down to that passband at construction, and evaluates
-the mask spectrum only there, with a real-input GEMM.  Every
-per-kernel step then runs on a small *coarse* grid
-(:class:`_CoarseStage`): the fields only hold passband frequencies, so
-the intensity and the adjoint product only hold their differences,
-and an ``M x M`` grid with ``M = 2 D + 1`` (``D`` the passband's
-signed span; ``M`` is 25 at grid 64 and 49 at grid 128) represents
-both without aliasing.  All K kernels run as one folded GEMM pair
-per direction; one real Dirichlet interpolation maps the intensity
-back to the mask grid, and its transpose projects the upstream
-gradient onto the coarse grid.  The work that touches the full grid
-happens once per call, not once per kernel.  Results match the plain
-``fft2`` reference to ~1e-14 relative (DESIGN.md §3a).
+columns (25x25 at grid 128).  The mask is real, so for a kernel
+``h = a + i b`` the coherent intensity is
+``|m (x) h|^2 = (m (x) a)^2 + (m (x) b)^2``; the engine rotates
+``(a, b)`` onto their principal axes and keeps the minor one only when
+it carries at least ``eps_f64`` of the energy, so every focus kernel
+becomes one *real* kernel and every defocused one two.  With real
+kernels every field is real and every spectrum in the pipeline is
+Hermitian, so the DFTs run on the ``v >= 0`` half of the passband
+columns.  Every per-kernel step then runs on a small *coarse* grid
+(:class:`_HopkinsStage`): the fields only hold passband frequencies,
+so the intensity and the adjoint product only hold their
+differences, and an ``M x M`` grid with ``M = 2 D + 1`` (``D`` the
+passband's signed span; ``M`` is 25 at grid 64 and 49 at grid 128)
+represents both without aliasing.  All kernels run as one folded GEMM
+pair per direction (a complex one over the passband rows, a real one
+over the half columns, fields ``(n, M, J, M)`` real); one real
+Dirichlet interpolation maps the intensity back to the mask grid, and
+its transpose projects the upstream gradient onto the coarse grid.
+The work that touches the full grid happens once per call, not once
+per kernel.  Results match the plain ``fft2`` reference to ~1e-14
+relative (DESIGN.md §3a).
 
 Two single-process fast paths are built in:
 
@@ -46,7 +53,7 @@ Two single-process fast paths are built in:
   callers are always freshly allocated.
 
 Engines are cheap but not free (building them reads the
-``O(K * H * W)`` flipped kernel tensor), so
+``O(K * H * W)`` kernel tensor and lowers it to real kernels), so
 :meth:`LithoEngine.for_kernels` memoizes one engine per
 (:class:`~repro.litho.kernels.KernelSet`, precision) pair — the
 facades in :mod:`repro.litho.aerial`, :mod:`repro.litho.simulator` and
@@ -129,6 +136,9 @@ class EngineStats:
         self._counters = {name: self.registry.counter(f"litho.{name}")
                           for name in self._FIELDS}
         self._counter_items = tuple(self._counters.items())
+        # (baseline, flat (name, counter, baseline value) triples) for
+        # the last baseline :meth:`since` read against.
+        self._since_memo: Tuple[Optional[Dict[str, float]], tuple] = (None, ())
 
     def __getattr__(self, name: str):
         counters = self.__dict__.get("_counters")
@@ -163,15 +173,32 @@ class EngineStats:
         from the counters: the cheap form of :meth:`delta` (no int
         conversion) for the worker pool's per-task bookkeeping.
 
-        With ``earlier`` (a previous reading over the same baseline,
-        where a missing field reads 0) the result is the increase since
-        that reading, built in the same pass that reads the counters.
+        With ``earlier`` (a previous reading over the same baseline, or
+        an empty dict for "nothing read yet") the result is the
+        increase since that reading, built in the same pass that reads
+        the counters.
+        A baseline is read once and must not change afterwards: its
+        values are paired with the counters on first use and reused
+        while the same dict comes back.
         """
-        if earlier is None:
-            return {name: counter.value - baseline[name]
-                    for name, counter in self._counter_items}
-        return {name: counter.value - baseline[name] - earlier.get(name, 0.0)
-                for name, counter in self._counter_items}
+        memo = self._since_memo
+        if memo[0] is not baseline:
+            memo = self._since_memo = (baseline, tuple(
+                item for name, counter in self._counter_items
+                for item in (name, counter, baseline[name])))
+        # One dict display per reading, with no comprehension frame:
+        # this runs twice per worker-pool task.
+        (n0, c0, b0, n1, c1, b1, n2, c2, b2,
+         n3, c3, b3, n4, c4, b4, n5, c5, b5) = memo[1]
+        if earlier:
+            return {n0: c0.value - b0 - earlier[n0],
+                    n1: c1.value - b1 - earlier[n1],
+                    n2: c2.value - b2 - earlier[n2],
+                    n3: c3.value - b3 - earlier[n3],
+                    n4: c4.value - b4 - earlier[n4],
+                    n5: c5.value - b5 - earlier[n5]}
+        return {n0: c0.value - b0, n1: c1.value - b1, n2: c2.value - b2,
+                n3: c3.value - b3, n4: c4.value - b4, n5: c5.value - b5}
 
     def reset(self) -> None:
         for counter in self._counters.values():
@@ -223,65 +250,138 @@ def _signed(indices: np.ndarray, grid: int) -> np.ndarray:
     return np.where(2 * indices <= grid, indices, indices - grid)
 
 
-class _CoarseStage:
-    """The per-kernel Hopkins work on an alias-free coarse grid.
+def _ri_columns(factor: np.ndarray, rdtype: np.dtype) -> np.ndarray:
+    """A complex ``(a, b)`` factor as a real ``(a, 2 b)`` one with
+    interleaved (re, im) columns: a real operand times it is the
+    complex product's float view."""
+    return np.ascontiguousarray(factor.view(np.float64), dtype=rdtype)
 
-    Every coherent field ``F_k`` is bandlimited to the kernel passband
-    (``P`` signed frequencies per axis spanning ``D = max - min``), so
-    the aerial image ``sum_k w_k |F_k|^2`` only holds difference
-    frequencies ``|d| <= D``.  Sampling the fields on an ``M x M`` grid
-    with ``M = 2 D + 1`` therefore represents the intensity exactly;
-    one real Dirichlet interpolation ``I = U Ic U^T`` carries it back to
-    the ``N x N`` mask grid.  The adjoint is the transpose: the upstream
-    ``dE/dI`` is projected onto the same difference band
-    (``(M/N)^2 U^T g U``), multiplied by ``conj(F_k)`` on the coarse
-    grid and transformed onto the flipped kernels' passband, where no
-    product term can alias because every frequency involved lies
-    within ``2 D < M`` of the target bin.  DESIGN.md §3a has the
-    derivation.
 
-    All ``K`` kernels run as one folded GEMM pair per direction; the
-    kernel axis sits between the two coarse spatial axes (fields are
-    ``(n, M, K, M)``), so neither direction needs a transpose copy.
-    Kernels may be split into contiguous *groups* (the condition
-    stack's defocus planes); the intensity comes back per group as
-    ``(n, N, G, N)`` and the adjoint takes a per-group upstream of the
-    same layout.  When ``M`` would not be smaller than ``N`` (or the
-    passband reaches ``N/2``) the stage runs on the full grid itself
-    with ``U = I``.
+def _re_rows(factor: np.ndarray, mult: np.ndarray,
+             rdtype: np.dtype) -> np.ndarray:
+    """A complex ``(a, b)`` factor as a real ``(2 a, b)`` one with
+    interleaved ``(c Re, -c Im)`` rows: a complex operand's float view
+    times it is ``Re(operand @ (c * factor))``."""
+    ri = np.empty((2 * len(factor), factor.shape[1]))
+    ri[0::2] = mult[:, None] * factor.real
+    ri[1::2] = -mult[:, None] * factor.imag
+    return ri.astype(rdtype)
+
+
+def _real_kernels(freq: np.ndarray, rows: np.ndarray, cols: np.ndarray
+                  ) -> Tuple[np.ndarray, np.ndarray]:
+    """Lower complex kernels to real spatial kernels on a passband block.
+
+    For a real mask ``m`` and a kernel ``h = a + i b``,
+    ``|m (x) h|^2 = (m (x) a)^2 + (m (x) b)^2``, and any rotation of
+    ``(a, b)`` leaves that sum unchanged.  Rotating onto the principal
+    axes of their 2x2 Gram matrix (computed by Parseval on the block)
+    puts all but a rounding-level share of a focus kernel's energy on
+    one axis; the minor axis is kept only when it carries at least
+    ``eps_f64`` of the kernel's energy.  ``rows``/``cols`` must be
+    closed under negation modulo the grid, so the spectra ``A``, ``B``
+    of ``a``, ``b`` live on the same block as ``H``.
+
+    Returns ``(spectra, parent)``: the real kernels' spectra
+    ``(J, P, Pc)`` (each Hermitian, ``R(-f) = conj(R(f))``) and, per
+    real kernel, the index of the complex kernel it came from, in
+    order — each real kernel takes its parent's weight.
+    """
+    grid = freq.shape[-1]
+    block = freq[:, rows[:, None], cols[None, :]]
+    mirrored = np.conj(
+        freq[:, ((-rows) % grid)[:, None], ((-cols) % grid)[None, :]])
+    parts = np.stack([0.5 * (block + mirrored),        # FFT(Re h)
+                      -0.5j * (block - mirrored)], 1)  # FFT(Im h)
+    gram = np.real(np.einsum("kapq,kbpq->kab", parts, np.conj(parts)))
+    energy, axes = np.linalg.eigh(gram)                # ascending
+    keep = energy[:, 0] >= np.finfo(np.float64).eps * energy.sum(axis=1)
+    spectra, parent = [], []
+    for k in range(len(freq)):
+        for axis in ((1, 0) if keep[k] else (1,)):
+            spectra.append(np.tensordot(axes[k, :, axis], parts[k], 1))
+            parent.append(k)
+    return np.array(spectra), np.array(parent, dtype=int)
+
+
+class _HopkinsStage:
+    """The per-kernel Hopkins work: real kernels on an alias-free
+    coarse grid, Hermitian half-spectrum DFTs.
+
+    The complex kernels are first lowered to real ones
+    (:func:`_real_kernels`), so every coherent field
+    ``G_j = m (x) r_j`` is real and the aerial image is
+    ``sum_j w_j G_j^2``.  Each ``G_j`` is bandlimited to the kernel
+    passband (``P`` signed frequencies per axis spanning
+    ``D = max - min``), so the image only holds difference frequencies
+    ``|d| <= D``.  Sampling the fields on an ``M x M`` grid with
+    ``M = 2 D + 1`` therefore represents it exactly; one real Dirichlet
+    interpolation ``I = U Ic U^T`` carries it back to the ``N x N``
+    mask grid.  The adjoint is the transpose: the upstream ``dE/dI`` is
+    projected onto the same difference band (``(M/N)^2 U^T g U``),
+    multiplied by ``G_j`` on the coarse grid and transformed onto the
+    passband, where no product term can alias because every frequency
+    involved lies within ``2 D < M`` of the target bin; the adjoint
+    kernel is ``2 w_j conj(R_j)``.  DESIGN.md §3a has the derivation.
+
+    Every spectrum in the stage is Hermitian, so only the ``v >= 0``
+    half of the passband columns (``Ph`` of them) is computed; the
+    real column transforms weight column ``v`` by its multiplicity
+    ``c_v`` (1 at ``v = 0`` and at a Nyquist column, else 2).  All
+    ``J`` real kernels run as one folded GEMM pair per direction: a
+    complex one over the rows and a real one over the half columns.
+    The kernel axis sits between the two coarse spatial axes (fields
+    are real ``(n, M, J, M)``), so neither direction needs a transpose
+    copy.  Kernels may be split into contiguous *groups* (the
+    condition stack's defocus planes); the intensity comes back per
+    group as ``(n, N, G, N)`` and the adjoint takes a per-group
+    upstream of the same layout.  When ``M`` would not be smaller than
+    ``N`` (or the passband reaches ``N/2``) the stage runs on the full
+    grid itself with ``U = I``.
 
     ``coarse`` overrides ``M`` (tests use it to show ``M - 1`` aliases);
     ``tag`` namespaces the stage's workspace buffers.
     """
 
     _DEVICE_ARRAYS = ("freq_t", "adj_t", "group_weights", "spec_row",
-                      "spec_col_ri", "inv_row", "inv_col", "fwd_row",
-                      "fwd_col", "grad_row", "grad_col_ri", "interp",
+                      "spec_col_ri", "inv_row", "inv_col_ri", "fwd_row",
+                      "fwd_col_ri", "grad_row", "grad_col_ri", "interp",
                       "interp_t")
 
-    def __init__(self, freq: np.ndarray, adjoint: np.ndarray,
-                 weights: np.ndarray, group_sizes: List[int],
-                 rdtype: np.dtype, cdtype: np.dtype, tag: str,
-                 coarse: Optional[int] = None):
+    def __init__(self, freq: np.ndarray, weights: np.ndarray,
+                 group_sizes: List[int], rdtype: np.dtype, cdtype: np.dtype,
+                 tag: str, coarse: Optional[int] = None):
         grid = freq.shape[-1]
         self.grid, self.tag = grid, tag
         self.rdtype, self.cdtype = rdtype, cdtype
-        self.rows, self.cols = _support(freq)
-        arows, acols = _support(adjoint)
+        rows, cols = _support(freq)
+        self.rows = rows = np.union1d(rows, (-rows) % grid)
+        self.cols = cols = np.union1d(cols, (-cols) % grid)
+        spectra, parent = _real_kernels(freq, rows, cols)
+        weights = np.asarray(weights)[parent]
         num_kernels = len(weights)
-        starts = np.cumsum([0] + list(group_sizes))
+        group_of = np.repeat(np.arange(len(group_sizes)), group_sizes)
+        real_sizes = np.bincount(group_of[parent],
+                                 minlength=len(group_sizes))
+        starts = np.cumsum([0] + list(real_sizes))
         self.group_slices = tuple(slice(int(starts[g]), int(starts[g + 1]))
                                   for g in range(len(group_sizes)))
         self.num_kernels, self.num_groups = num_kernels, len(group_sizes)
 
-        # Compact kernels in ``(P, K, Pc)`` layout; the adjoint ones
-        # carry the Eq. 14 factor ``2 w_k``.
-        self.freq_t = np.ascontiguousarray(
-            freq[:, self.rows[:, None], self.cols[None, :]]
-            .transpose(1, 0, 2), dtype=cdtype)
+        # The v >= 0 half of the passband columns and its Hermitian
+        # multiplicities (a Nyquist column is its own mirror).
+        s_rows, s_cols = _signed(rows, grid), _signed(cols, grid)
+        half = s_cols >= 0
+        half_cols, s_half = cols[half], s_cols[half]
+        mult = np.where((s_half == 0) | (2 * s_half == grid), 1.0, 2.0)
+
+        # Compact kernels in ``(P, J, Ph)`` layout; the adjoint ones are
+        # ``2 w_j conj(R_j)`` (Eq. 14).
+        spectra = spectra[:, :, half]
+        self.freq_t = np.ascontiguousarray(spectra.transpose(1, 0, 2),
+                                           dtype=cdtype)
         self.adj_t = np.ascontiguousarray(
-            ((2.0 * weights)[:, None, None]
-             * adjoint[:, arows[:, None], acols[None, :]])
+            ((2.0 * weights)[:, None, None] * np.conj(spectra))
             .transpose(1, 0, 2), dtype=cdtype)
         group_weights = np.zeros((self.num_groups, num_kernels))
         for g, group in enumerate(self.group_slices):
@@ -289,43 +389,41 @@ class _CoarseStage:
         self.group_weights = group_weights.astype(rdtype)
 
         # Coarse size: the smallest grid holding every difference
-        # frequency of the forward and adjoint passbands.
-        supports = (self.rows, self.cols, arows, acols)
-        signed = [_signed(ix, grid) for ix in supports]
-        span = max(int(s.max() - s.min()) for s in signed)
-        reaches_nyquist = any(np.any(2 * ix == grid) for ix in supports)
+        # frequency of the passband.
+        span = max(int(s.max() - s.min()) for s in (s_rows, s_cols))
+        reaches_nyquist = bool(np.any(2 * s_rows == grid)
+                               or np.any(2 * s_cols == grid))
         if coarse is None:
             coarse = 2 * span + 1
         if coarse >= grid or reaches_nyquist:
             coarse = grid
         self.coarse = coarse
-        s_rows, s_cols, s_arows, s_acols = signed
 
-        # Mask spectrum on the passband from a *real* mask: the column
-        # DFT is a real GEMM against interleaved (re, im) columns whose
-        # output views as complex, then one thin complex GEMM.
+        # Mask spectrum on the half passband from a *real* mask: the
+        # column DFT is a real GEMM against interleaved (re, im) columns
+        # whose output views as complex, then one thin complex GEMM.
         x = np.arange(grid)
-        self.spec_row = _dft_factor(self.rows, x, -1, 1.0, grid, cdtype)
-        spec_col = _dft_factor(x, self.cols, -1, 1.0, grid, np.complex128)
-        self.spec_col_ri = np.ascontiguousarray(
-            spec_col.view(np.float64), dtype=rdtype)
+        self.spec_row = _dft_factor(rows, x, -1, 1.0, grid, cdtype)
+        self.spec_col_ri = _ri_columns(
+            _dft_factor(x, half_cols, -1, 1.0, grid, np.complex128), rdtype)
         # Passband -> coarse-grid inverse DFT (1/N per axis, as on the
-        # full grid), and coarse grid -> adjoint passband forward DFT.
-        # The latter's exact scale, N/M per axis, cancels the (M/N)^2 of
-        # the upstream projection, so neither is applied.
+        # full grid), and coarse grid -> passband forward DFT.  The
+        # latter's exact scale, N/M per axis, cancels the (M/N)^2 of the
+        # upstream projection, so neither is applied.  The column
+        # inverses keep the real part of a Hermitian sum.
         j = np.arange(coarse)
         self.inv_row = _dft_factor(j, s_rows, +1, 1.0 / grid, coarse, cdtype)
-        self.inv_col = _dft_factor(s_cols, j, +1, 1.0 / grid, coarse, cdtype)
-        self.fwd_row = _dft_factor(s_arows, j, -1, 1.0, coarse, cdtype)
-        self.fwd_col = _dft_factor(j, s_acols, -1, 1.0, coarse, cdtype)
-        # Adjoint passband -> full grid, real part only: the column
-        # factor interleaves (re, -im) rows to match a complex
-        # operand's float view.
-        self.grad_row = _dft_factor(x, arows, +1, 1.0 / grid, grid, cdtype)
-        grad_col = _dft_factor(acols, x, +1, 1.0 / grid, grid, np.complex128)
-        grad_col_ri = np.empty((2 * len(acols), grid))
-        grad_col_ri[0::2], grad_col_ri[1::2] = grad_col.real, -grad_col.imag
-        self.grad_col_ri = grad_col_ri.astype(rdtype)
+        self.inv_col_ri = _re_rows(
+            _dft_factor(s_half, j, +1, 1.0 / grid, coarse, np.complex128),
+            mult, rdtype)
+        self.fwd_row = _dft_factor(s_rows, j, -1, 1.0, coarse, cdtype)
+        self.fwd_col_ri = _ri_columns(
+            _dft_factor(j, s_half, -1, 1.0, coarse, np.complex128), rdtype)
+        # Passband -> full grid, real part only.
+        self.grad_row = _dft_factor(x, rows, +1, 1.0 / grid, grid, cdtype)
+        self.grad_col_ri = _re_rows(
+            _dft_factor(half_cols, x, +1, 1.0 / grid, grid, np.complex128),
+            mult, rdtype)
 
         if coarse < grid:
             # Dirichlet interpolation over the difference band |d| <= D.
@@ -344,7 +442,7 @@ class _CoarseStage:
         # size) stays cache-resident.  Measured on one core, f64, 32
         # masks: 8 MB chunks ran 18% (64 px) to 30% (128 px) slower
         # per sample than 2 MB ones.
-        bytes_per_sample = num_kernels * coarse * coarse * cdtype.itemsize
+        bytes_per_sample = num_kernels * coarse * coarse * rdtype.itemsize
         self.gradient_chunk = max(1, (2 << 20) // bytes_per_sample)
 
     def to_backend(self, backend: ArrayBackend) -> None:
@@ -357,57 +455,52 @@ class _CoarseStage:
 
     def spectrum(self, backend: ArrayBackend, ws: Workspace,
                  batch: np.ndarray) -> np.ndarray:
-        """Mask spectrum on the kernel passband, ``(n, P, Pc)``."""
+        """Mask spectrum on the half passband, ``(n, P, Ph)``."""
         n, grid = batch.shape[0], self.grid
-        n_rows, n_cols = self.freq_t.shape[0], self.freq_t.shape[2]
+        n_rows, n_half = self.freq_t.shape[0], self.freq_t.shape[2]
         with trace.span("litho.spectrum", masks=n):
             half = backend.matmul(
                 batch, self.spec_col_ri,
-                out=ws.get(self.tag + "spec.half", (n, grid, 2 * n_cols),
+                out=ws.get(self.tag + "spec.half", (n, grid, 2 * n_half),
                            self.rdtype))
             return backend.matmul(
                 self.spec_row, half.view(self.cdtype),
-                out=ws.get(self.tag + "spec.compact", (n, n_rows, n_cols),
+                out=ws.get(self.tag + "spec.compact", (n, n_rows, n_half),
                            self.cdtype))
 
     def forward(self, backend: ArrayBackend, ws: Workspace,
-                batch: np.ndarray, out: Optional[np.ndarray] = None,
-                compact: Optional[np.ndarray] = None
+                batch: np.ndarray, out: Optional[np.ndarray] = None
                 ) -> Tuple[np.ndarray, np.ndarray]:
         """``(intensity, fields)``: per-group aerial images
-        ``(n, N, G, N)`` and coarse fields ``(n, M, K, M)``.
+        ``(n, N, G, N)`` and real coarse fields ``(n, M, J, M)``.
 
         Fields always live in the workspace; the intensity is written
         to ``out`` (shape ``(n, N, G * N)``) when given, else to the
-        workspace.  ``compact`` is a precomputed passband spectrum.
+        workspace.
         """
         n, grid, coarse = batch.shape[0], self.grid, self.coarse
-        n_rows, num_kernels, n_cols = self.freq_t.shape
+        n_rows, num_kernels, n_half = self.freq_t.shape
         groups = self.num_groups
         ws_get, tag = ws.get, self.tag
-        if compact is None:
-            compact = self.spectrum(backend, ws, batch)
+        compact = self.spectrum(backend, ws, batch)
         product = ws_get(tag + "fwd.product",
-                         (n, n_rows, num_kernels, n_cols), self.cdtype)
+                         (n, n_rows, num_kernels, n_half), self.cdtype)
         np.multiply(compact[:, :, None, :], self.freq_t, out=product)
-        half = backend.matmul(
-            product.reshape(n, n_rows * num_kernels, n_cols), self.inv_col,
-            out=ws_get(tag + "fwd.half", (n, n_rows * num_kernels, coarse),
+        by_rows = backend.matmul(
+            self.inv_row, product.reshape(n, n_rows, num_kernels * n_half),
+            out=ws_get(tag + "fwd.rows", (n, coarse, num_kernels * n_half),
                        self.cdtype))
         fields = backend.matmul(
-            self.inv_row, half.reshape(n, n_rows, num_kernels * coarse),
-            out=ws_get(tag + "fwd.fields", (n, coarse, num_kernels * coarse),
-                       self.cdtype)).reshape(n, coarse, num_kernels, coarse)
+            by_rows.view(self.rdtype).reshape(n, coarse * num_kernels,
+                                              2 * n_half),
+            self.inv_col_ri,
+            out=ws_get(tag + "fwd.fields", (n, coarse * num_kernels, coarse),
+                       self.rdtype)).reshape(n, coarse, num_kernels, coarse)
 
-        # sum_k w_k |F_k|^2 per group: square the (re, im) float view,
-        # contract the kernel axis, then add the re/im halves.
-        parts = fields.view(self.rdtype)
-        squared = ws_get(tag + "fwd.squared", parts.shape, self.rdtype)
-        np.multiply(parts, parts, out=squared)
-        summed = backend.matmul(
-            self.group_weights, squared,
-            out=ws_get(tag + "fwd.summed", (n, coarse, groups, 2 * coarse),
-                       self.rdtype))
+        # sum_j w_j G_j^2 per group: square, then contract the kernel
+        # axis.
+        squared = ws_get(tag + "fwd.squared", fields.shape, self.rdtype)
+        np.multiply(fields, fields, out=squared)
         if out is None:
             out = ws_get(tag + "fwd.intensity", (n, grid, groups * grid),
                          self.rdtype)
@@ -417,7 +510,7 @@ class _CoarseStage:
             coarse_intensity = ws_get(tag + "fwd.coarse",
                                       (n, coarse, groups, coarse),
                                       self.rdtype)
-        np.add(summed[..., 0::2], summed[..., 1::2], out=coarse_intensity)
+        backend.matmul(self.group_weights, squared, out=coarse_intensity)
         if self.interp is not None:
             right = backend.matmul(
                 coarse_intensity.reshape(n, coarse * groups, coarse),
@@ -434,7 +527,7 @@ class _CoarseStage:
         :meth:`forward` fields and the per-group upstream ``dE/dI``
         (any array reshapeable to ``(n, N, G * N)``)."""
         n, grid, coarse = fields.shape[0], self.grid, self.coarse
-        n_arows, num_kernels, n_acols = self.adj_t.shape
+        n_rows, num_kernels, n_half = self.adj_t.shape
         groups = self.num_groups
         ws_get, tag = ws.get, self.tag
         upstream = upstream.reshape(n, grid, groups * grid)
@@ -452,26 +545,28 @@ class _CoarseStage:
                 out=ws_get(tag + "adj.coarse", (n, coarse * groups, coarse),
                            self.rdtype)).reshape(n, coarse, groups, coarse)
 
-        weighted = ws_get(tag + "adj.weighted", fields.shape, self.cdtype)
-        backend.conjugate(fields, out=weighted)
+        weighted = ws_get(tag + "adj.weighted", fields.shape, self.rdtype)
         for g, group in enumerate(self.group_slices):
-            weighted[:, :, group] *= coarse_up[:, :, g:g + 1]
+            np.multiply(fields[:, :, group], coarse_up[:, :, g:g + 1],
+                        out=weighted[:, :, group])
         half = backend.matmul(
-            weighted.reshape(n, coarse * num_kernels, coarse), self.fwd_col,
-            out=ws_get(tag + "adj.half", (n, coarse * num_kernels, n_acols),
-                       self.cdtype))
+            weighted.reshape(n, coarse * num_kernels, coarse),
+            self.fwd_col_ri,
+            out=ws_get(tag + "adj.half", (n, coarse * num_kernels, 2 * n_half),
+                       self.rdtype))
         spectra = backend.matmul(
-            self.fwd_row, half.reshape(n, coarse, num_kernels * n_acols),
+            self.fwd_row,
+            half.view(self.cdtype).reshape(n, coarse, num_kernels * n_half),
             out=ws_get(tag + "adj.spectra",
-                       (n, n_arows, num_kernels * n_acols), self.cdtype)
-        ).reshape(n, n_arows, num_kernels, n_acols)
+                       (n, n_rows, num_kernels * n_half), self.cdtype)
+        ).reshape(n, n_rows, num_kernels, n_half)
         spectra *= self.adj_t
         accumulated = spectra.sum(
-            axis=2, out=ws_get(tag + "adj.acc", (n, n_arows, n_acols),
+            axis=2, out=ws_get(tag + "adj.acc", (n, n_rows, n_half),
                                self.cdtype))
         expanded = backend.matmul(
             self.grad_row, accumulated,
-            out=ws_get(tag + "adj.expand", (n, grid, n_acols), self.cdtype))
+            out=ws_get(tag + "adj.expand", (n, grid, n_half), self.cdtype))
         return backend.matmul(expanded.view(self.rdtype), self.grad_col_ri)
 
 
@@ -481,10 +576,12 @@ class _ConditionStack:
     Internal to :class:`LithoEngine` and built lazily on the first
     condition-stack call, so nominal engines never pay for it.  Corner
     kernel stacks are concatenated along the kernel axis, grouped by
-    unique defocus, and served by one :class:`_CoarseStage` over the
+    unique defocus, and served by one :class:`_HopkinsStage` over the
     union passband: its group ``g`` is defocus group ``g``, and every
     corner in ``group_of[c] == g`` shares that group's coherent fields
-    — dose is applied as a pure intensity scale afterwards.
+    — dose is applied as a pure intensity scale afterwards.  A
+    defocused plane lowers to two real kernels per complex one, the
+    focus plane to one.
     """
 
     __slots__ = ("stage", "group_of", "doses", "lam", "num_groups")
@@ -494,9 +591,8 @@ class _ConditionStack:
                  rdtype: np.dtype, cdtype: np.dtype):
         # Defocus is a pure pupil phase so in practice all groups share
         # one support, but the union keeps the slicing exact regardless.
-        self.stage = _CoarseStage(
+        self.stage = _HopkinsStage(
             np.concatenate([ks.freq_kernels for ks in kernel_sets], axis=0),
-            np.concatenate([ks.flipped() for ks in kernel_sets], axis=0),
             np.concatenate([ks.weights for ks in kernel_sets]),
             [len(ks.weights) for ks in kernel_sets], rdtype, cdtype,
             tag="cond.")
@@ -575,19 +671,10 @@ class LithoEngine:
         self._xp = self.backend.xp
 
         # The hot path: every per-kernel step runs on the coarse grid.
-        self._stage = _CoarseStage(
-            kernels.freq_kernels, kernels.flipped(), kernels.weights,
-            [len(kernels.weights)], rdtype, cdtype, tag="")
+        self._stage = _HopkinsStage(
+            kernels.freq_kernels, kernels.weights, [len(kernels.weights)],
+            rdtype, cdtype, tag="")
         self._stage.to_backend(self.backend)
-        # Full-grid inverse DFT from the passband, for the public
-        # ``fields`` / ``aerial_and_fields`` outputs only.
-        x = np.arange(kernels.grid)
-        self._ifft_row = self.backend.asarray(_dft_factor(
-            x, self._stage.rows, +1, 1.0 / kernels.grid, kernels.grid,
-            cdtype))
-        self._ifft_col = self.backend.asarray(_dft_factor(
-            self._stage.cols, x, +1, 1.0 / kernels.grid, kernels.grid,
-            cdtype))
 
         # Batched-gradient chunk size: the stage's cache heuristic
         # unless a tuning (explicit or from the REPRO_AUTOTUNE preset
@@ -668,11 +755,17 @@ class LithoEngine:
 
     @property
     def passband_shape(self) -> Tuple[Tuple[int, int], Tuple[int, int]]:
-        """``((rows, cols), (adjoint_rows, adjoint_cols))`` passband
-        support sizes — the shapes the autotuner's FLOP model scores."""
+        """``((rows, cols), (rows, half_cols))``: the kernel passband
+        and the ``v >= 0`` half of it the stage computes on — the
+        latter is what the autotuner's FLOP model scores."""
         stage = self._stage
-        return ((stage.freq_t.shape[0], stage.freq_t.shape[2]),
-                (stage.adj_t.shape[0], stage.adj_t.shape[2]))
+        return ((len(stage.rows), len(stage.cols)),
+                (stage.freq_t.shape[0], stage.freq_t.shape[2]))
+
+    @property
+    def num_real_kernels(self) -> int:
+        """Real kernels the stage runs (one per focus kernel)."""
+        return self._stage.num_kernels
 
     @property
     def coarse_grid(self) -> int:
@@ -711,25 +804,6 @@ class LithoEngine:
                 f"target shape {targets.shape} does not match grid {self.grid}")
         return targets
 
-    def _compact_spectrum(self, batch: np.ndarray,
-                          spectrum: Optional[np.ndarray] = None) -> np.ndarray:
-        """Mask spectrum evaluated on the kernel passband, ``(N, R, C)``
-        — sliced from ``spectrum`` when a full one is given."""
-        if spectrum is None:
-            return self._stage.spectrum(self.backend, self.workspace, batch)
-        rows, cols = self._stage.rows, self._stage.cols
-        return self.backend.ascontiguousarray(
-            spectrum[:, rows[:, None], cols[None, :]], dtype=self._cdtype)
-
-    def _field_k(self, compact: np.ndarray, k: int,
-                 out: Optional[np.ndarray] = None) -> np.ndarray:
-        """Full-grid coherent field of kernel ``k`` (passband inverse
-        DFT)."""
-        return self.backend.matmul(
-            self._ifft_row,
-            (compact * self._stage.freq_t[:, k]) @ self._ifft_col,
-            out=out)
-
     def _forward(self, batch: np.ndarray, dose: float) -> np.ndarray:
         """Public forward pipeline: ``_forward_impl`` plus accounting.
 
@@ -749,8 +823,7 @@ class LithoEngine:
         return intensity
 
     def _forward_impl(self, batch: np.ndarray, dose: float,
-                      out: Optional[np.ndarray] = None,
-                      spectrum: Optional[np.ndarray] = None
+                      out: Optional[np.ndarray] = None
                       ) -> Tuple[np.ndarray, np.ndarray]:
         """Aerial intensity ``(N, H, W)`` and coarse fields (no
         accounting).
@@ -758,12 +831,9 @@ class LithoEngine:
         The fields always live in the workspace arena; the intensity
         is written to ``out`` when given (public paths pass a fresh
         array so the result is owned) and to the arena otherwise.
-        ``spectrum`` is an optional precomputed full mask spectrum.
         """
-        compact = (None if spectrum is None
-                   else self._compact_spectrum(batch, spectrum))
         intensity, fields = self._stage.forward(
-            self.backend, self.workspace, batch, out, compact)
+            self.backend, self.workspace, batch, out)
         intensity = intensity[:, :, 0]
         if dose != 1.0:
             intensity *= dose
@@ -771,14 +841,14 @@ class LithoEngine:
 
     def _fields(self, batch: np.ndarray,
                 spectrum: Optional[np.ndarray] = None) -> np.ndarray:
-        """Coherent fields ``M (x) h_k``, shaped ``(N, K, grid, grid)``."""
-        compact = self._compact_spectrum(batch, spectrum)
-        num_kernels = self._stage.num_kernels
-        stacked = self._xp.empty((num_kernels,) + batch.shape,
-                                 dtype=self._cdtype)
-        for k in range(num_kernels):
-            self._field_k(compact, k, out=stacked[k])
-        return stacked.transpose(1, 0, 2, 3)
+        """Complex coherent fields ``M (x) h_k`` of the kernel set's own
+        kernels, ``(N, K, grid, grid)``: a host-side ``ifft2`` per
+        kernel (not a hot path)."""
+        if spectrum is None:
+            spectrum = real_spectrum(self.backend.to_numpy(batch))
+        fields = np.fft.ifft2(spectrum[:, None] * self.kernels.freq_kernels,
+                              axes=(-2, -1))
+        return self.backend.asarray(fields.astype(self._cdtype, copy=False))
 
     # ------------------------------------------------------------------
     # Forward model
@@ -811,9 +881,9 @@ class LithoEngine:
 
     def aerial_and_fields(self, mask: np.ndarray, dose: float = 1.0
                           ) -> Tuple[np.ndarray, np.ndarray]:
-        """``(intensity, fields)`` with full-grid fields ``(K, H, W)``
-        or ``(N, K, H, W)`` (not a hot path: the fields are expanded
-        kernel by kernel)."""
+        """``(intensity, fields)`` with the complex full-grid fields of
+        the kernel set's kernels, ``(K, H, W)`` or ``(N, K, H, W)``
+        (not a hot path: the fields come from a host-side ``ifft2``)."""
         batch, single = self._as_batch(mask)
         intensity = self._forward(batch, dose)
         fields = self._fields(batch)
@@ -862,10 +932,10 @@ class LithoEngine:
         This is the inner term of Eq. 14 — the quantity Algorithm 2
         back-propagates into the generator — computed for the whole
         batch in one pipeline.  The adjoint sum over kernels is
-        accumulated on the flipped kernels' passband support, so the
-        backward pass never evaluates a frequency bin the kernels
-        cannot touch; one small inverse DFT expands the accumulated
-        spectrum back to the mask grid.
+        accumulated on the half passband, so the backward pass never
+        evaluates a frequency bin the kernels cannot touch; one small
+        inverse DFT expands the accumulated spectrum back to the mask
+        grid.
         """
         started = time.perf_counter()
         threshold = self.threshold if threshold is None else threshold
@@ -1084,7 +1154,7 @@ class LithoEngine:
         the per-sample worst corner (a subgradient of ``max_c E_c``).
         Both share the nominal adjoint: per-corner upstream intensity
         gradients are combined per defocus group, pushed through the
-        stacked flipped kernels, and expanded once.
+        stacked adjoint kernels, and expanded once.
         """
         if objective not in ("weighted", "worst"):
             raise ValueError(

@@ -51,9 +51,10 @@ def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
     """
     x = np.asarray(x)
     dtype = x.dtype if x.dtype == np.float32 else np.float64
-    out = np.empty_like(x, dtype=dtype)
-    positive = x >= 0
-    out[positive] = 1.0 / (1.0 + np.exp(-x[positive]))
-    exp_x = np.exp(x[~positive])
-    out[~positive] = exp_x / (1.0 + exp_x)
-    return out
+    x = x.astype(dtype, copy=False)
+    # Branch-free: with e = exp(-|x|) the two branches are the textbook
+    # 1 / (1 + exp(-x)) for x >= 0 and exp(x) / (1 + exp(x)) below, to
+    # the bit; neither exponent can overflow.
+    e = np.exp(-np.abs(x))
+    denominator = 1.0 + e
+    return np.where(x >= 0, 1.0 / denominator, e / denominator)

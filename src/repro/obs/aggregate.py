@@ -60,7 +60,12 @@ def span_cap() -> int:
         return DEFAULT_SPAN_CAP
 
 
-@dataclass
+#: Optional :class:`TaskTelemetry` fields and their empty defaults.
+_OPTIONAL_FIELDS = {"epoch": float, "spans": list, "span_summary": dict,
+                    "dropped_spans": int, "op_stats": dict,
+                    "module_stats": dict}
+
+
 class TaskTelemetry:
     """One task's worth of worker-side observability, picklable.
 
@@ -69,17 +74,59 @@ class TaskTelemetry:
     task's change in the worker's warm-engine litho counters and ships
     with *every* task (six floats), tracing enabled or not — it is
     what lets ``repro table2 --workers N`` reconcile with serial runs.
+
+    A slotted class rather than a dataclass, since one is built per
+    pool task: only the three fields every task sets are stored up
+    front, and an optional field never set reads as its empty default
+    (``0``, ``[]`` or ``{}``), materialized on first access.
     """
 
-    pid: int = 0
-    epoch: float = 0.0
-    seconds: float = 0.0
-    spans: List[SpanTuple] = field(default_factory=list)
-    span_summary: Dict[str, Dict[str, float]] = field(default_factory=dict)
-    dropped_spans: int = 0
-    op_stats: Dict[str, Dict[str, float]] = field(default_factory=dict)
-    module_stats: Dict[str, Dict[str, float]] = field(default_factory=dict)
-    engine_delta: Dict[str, float] = field(default_factory=dict)
+    __slots__ = ("pid", "seconds", "engine_delta") + tuple(_OPTIONAL_FIELDS)
+
+    def __init__(self, pid: int = 0, seconds: float = 0.0,
+                 engine_delta: Optional[Dict[str, float]] = None,
+                 epoch: Optional[float] = None,
+                 spans: Optional[List[SpanTuple]] = None,
+                 span_summary: Optional[Dict[str, Dict[str, float]]] = None,
+                 dropped_spans: Optional[int] = None,
+                 op_stats: Optional[Dict[str, Dict[str, float]]] = None,
+                 module_stats: Optional[Dict[str, Dict[str, float]]] = None):
+        self.pid, self.seconds = pid, seconds
+        self.engine_delta = {} if engine_delta is None else engine_delta
+        if epoch is not None:
+            self.epoch = epoch
+        if spans is not None:
+            self.spans = spans
+        if span_summary is not None:
+            self.span_summary = span_summary
+        if dropped_spans is not None:
+            self.dropped_spans = dropped_spans
+        if op_stats is not None:
+            self.op_stats = op_stats
+        if module_stats is not None:
+            self.module_stats = module_stats
+
+    def __getattr__(self, name: str) -> Any:
+        factory = _OPTIONAL_FIELDS.get(name)
+        if factory is None:
+            raise AttributeError(name)
+        value = factory()
+        setattr(self, name, value)
+        return value
+
+
+#: This process's pid, refreshed in forked children (``os.getpid`` is
+#: a system call on every task otherwise).
+_PID = os.getpid()
+
+
+def _refresh_pid() -> None:
+    global _PID
+    _PID = os.getpid()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_refresh_pid)
 
 
 def capture_task(tracer: Optional[Tracer], profiler: Optional[Any],
@@ -91,8 +138,7 @@ def capture_task(tracer: Optional[Tracer], profiler: Optional[Any],
     shipping off) — the engine delta still ships.  ``engine_delta`` is
     kept as given, not copied: the caller builds it for this task.
     """
-    telemetry = TaskTelemetry(pid=os.getpid(), seconds=seconds,
-                              engine_delta=engine_delta)
+    telemetry = TaskTelemetry(_PID, seconds, engine_delta)
     if tracer is not None:
         telemetry.epoch = tracer.epoch
         telemetry.span_summary = tracer.summary()

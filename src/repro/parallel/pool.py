@@ -227,9 +227,9 @@ def _run_task(fn: Callable, args: Tuple, ship_telemetry: bool = False
         heartbeat.task_finished()
     if failure is not None:
         message, remote_tb = failure
-        return ("error", message, remote_tb, os.getpid(), seconds,
+        return ("error", message, remote_tb, telemetry.pid, seconds,
                 telemetry)
-    return ("ok", value, os.getpid(), seconds, telemetry)
+    return ("ok", value, telemetry.pid, seconds, telemetry)
 
 
 # ----------------------------------------------------------------------

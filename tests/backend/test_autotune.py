@@ -98,36 +98,62 @@ class TestChooseTuning:
 
 
 class TestFlopModel:
-    # Coarse sides for the (9, 9) passband and its (17, 17) adjoint.
-    M_FWD, M_ADJ = 17, 33
+    # A 9-row passband's v >= 0 half (5 of its 9 columns) and the
+    # coarse side 2 * 8 + 1 that its span needs.
+    HALF, M = (9, 5), 17
 
     def test_complex_matmul_is_4x_real(self):
-        assert (forward_flops(64, (9, 9), 1, 1, self.M_FWD)
-                > 4 * matmul_flops((9, 64), (1, 64, 64)))
+        # With no kernels and no interpolation (M = N) only the mask
+        # spectrum remains: a real GEMM onto the interleaved half
+        # columns and a complex row GEMM.
+        assert forward_flops(64, self.HALF, 0, 1, 64) == (
+            matmul_flops((1, 64, 64), (64, 10))
+            + 4 * matmul_flops((9, 64), (1, 64, 5)))
 
     def test_linear_in_batch(self):
-        one = forward_flops(64, (9, 9), 12, 1, self.M_FWD)
-        four = forward_flops(64, (9, 9), 12, 4, self.M_FWD)
+        one = forward_flops(64, self.HALF, 12, 1, self.M)
+        four = forward_flops(64, self.HALF, 12, 4, self.M)
         assert four == pytest.approx(4 * one, rel=1e-12)
 
     def test_linear_in_kernels_above_spectrum(self):
-        spec = forward_flops(64, (9, 9), 0, 2, self.M_FWD)
-        k1 = forward_flops(64, (9, 9), 1, 2, self.M_FWD) - spec
-        k12 = forward_flops(64, (9, 9), 12, 2, self.M_FWD) - spec
+        spec = forward_flops(64, self.HALF, 0, 2, self.M)
+        k1 = forward_flops(64, self.HALF, 1, 2, self.M) - spec
+        k12 = forward_flops(64, self.HALF, 12, 2, self.M) - spec
         assert k12 == 12 * k1
 
     def test_adjoint_includes_forward(self):
-        fwd = forward_flops(64, (9, 9), 12, 4, self.M_ADJ)
-        adj = adjoint_flops(64, (9, 9), (17, 17), 12, 4, self.M_ADJ)
+        fwd = forward_flops(64, self.HALF, 12, 4, self.M)
+        adj = adjoint_flops(64, self.HALF, 12, 4, self.M)
         assert adj > fwd
 
     def test_matches_engine_passband(self, kernels):
         engine = LithoEngine(kernels=kernels)
-        pb, apb = engine.passband_shape
-        flops = adjoint_flops(engine.grid, pb, apb,
-                              len(engine.kernels.weights), 2,
-                              engine.coarse_grid)
+        (rows, cols), half = engine.passband_shape
+        assert half == (rows, (cols + 1) // 2)
+        flops = adjoint_flops(engine.grid, half, engine.num_real_kernels,
+                              2, engine.coarse_grid)
         assert flops > 0
+
+    def test_stage_gemms_at_128(self):
+        """The four big stage GEMMs of one 128 px batch-1 gradient,
+        counted by hand from the stage's shapes (``P = 25``,
+        ``Ph = 13``, ``M = 49``, 24 real kernels): a complex row GEMM
+        and a real half-column GEMM per direction, 12.1 MFLOP."""
+        engine = LithoEngine.for_kernels(build_kernels(
+            LithoConfig.small(128)))
+        (rows, _), half = engine.passband_shape
+        m, num_kernels = engine.coarse_grid, engine.num_real_kernels
+        assert (rows, half[1], m, num_kernels) == (25, 13, 49, 24)
+        rows_gemm = 8 * m * rows * num_kernels * half[1]
+        cols_gemm = 2 * m * num_kernels * 2 * half[1] * m
+        assert 2 * (rows_gemm + cols_gemm) == pytest.approx(12.1e6,
+                                                              rel=5e-3)
+        # The model's per-kernel terms hold exactly these GEMMs plus
+        # elementwise work of a few percent.
+        per_kernel = (adjoint_flops(128, half, 1, 1, m)
+                      - adjoint_flops(128, half, 0, 1, m))
+        gemms = 2 * (rows_gemm + cols_gemm) // num_kernels
+        assert gemms < per_kernel < 1.05 * gemms
 
     @pytest.mark.parametrize("grid", [64, 128])
     def test_coarse_grid_cuts_per_kernel_work(self, grid):
@@ -135,11 +161,11 @@ class TestFlopModel:
         same pipeline run on the full grid (``coarse=grid``)."""
         engine = LithoEngine.for_kernels(build_kernels(
             LithoConfig.small(grid)))
-        pb, apb = engine.passband_shape
-        base = forward_flops(grid, pb, 0, 1, engine.coarse_grid)
-        coarse = forward_flops(grid, pb, 1, 1, engine.coarse_grid) - base
-        full = (forward_flops(grid, pb, 1, 1, grid)
-                - forward_flops(grid, pb, 0, 1, grid))
+        _, half = engine.passband_shape
+        base = forward_flops(grid, half, 0, 1, engine.coarse_grid)
+        coarse = forward_flops(grid, half, 1, 1, engine.coarse_grid) - base
+        full = (forward_flops(grid, half, 1, 1, grid)
+                - forward_flops(grid, half, 0, 1, grid))
         assert engine.coarse_grid < grid
         assert coarse < 0.5 * full
 

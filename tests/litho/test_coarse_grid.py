@@ -16,7 +16,7 @@ import pytest
 
 from repro.backend import resolve_backend
 from repro.litho import ConditionSet, LithoConfig, LithoEngine, build_kernels
-from repro.litho.engine import _CoarseStage
+from repro.litho.engine import _HopkinsStage
 from repro.workspace import Workspace
 
 from .test_engine import (_mask_batch, _target_batch, reference_aerial,
@@ -164,8 +164,8 @@ class TestCoarseBound:
         errors = {}
         for size in (engine.coarse_grid - 1, engine.coarse_grid,
                      engine.coarse_grid + 2):
-            stage = _CoarseStage(
-                kernels.freq_kernels, kernels.flipped(), kernels.weights,
+            stage = _HopkinsStage(
+                kernels.freq_kernels, kernels.weights,
                 [len(kernels.weights)], np.dtype(np.float64),
                 np.dtype(np.complex128), tag="bound.", coarse=size)
             intensity, _ = stage.forward(backend, Workspace(), mask)

@@ -1,6 +1,7 @@
 """Unit tests for resist models (Eqs. 3, 12, 13)."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -72,3 +73,47 @@ class TestBinarize:
     def test_custom_level(self):
         np.testing.assert_allclose(binarize_mask(np.array([0.4]), level=0.3),
                                    [1])
+
+
+def _masked_sigmoid(x):
+    """The two-branch formula, gathered and scattered by sign."""
+    x = np.asarray(x)
+    dtype = x.dtype if x.dtype == np.float32 else np.float64
+    out = np.empty_like(x, dtype=dtype)
+    positive = x >= 0
+    out[positive] = 1.0 / (1.0 + np.exp(-x[positive]))
+    exp_x = np.exp(x[~positive])
+    out[~positive] = exp_x / (1.0 + exp_x)
+    return out
+
+
+class TestStableSigmoidBitExact:
+    """The branch-free sigmoid equals the two-branch formula bit for
+    bit, including zeros, subnormal-scale, saturating and NaN inputs."""
+
+    SPECIAL = [0.0, -0.0, 1e-300, -1e-300, 1.0, -1.0, 700.0, -700.0,
+               1e4, -1e4, np.nan]
+
+    def _inputs(self, dtype):
+        rng = np.random.default_rng(5)
+        spread = 30.0 * (2.0 * rng.random(4096) - 1.0)
+        grid = np.linspace(-60.0, 60.0, 1201)
+        return np.concatenate([self.SPECIAL, spread, grid]).astype(dtype)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_matches_two_branch_formula(self, dtype):
+        from repro.litho.resist import _stable_sigmoid
+        x = self._inputs(dtype)
+        expected = _masked_sigmoid(x)
+        actual = _stable_sigmoid(x)
+        assert actual.dtype == expected.dtype == dtype
+        finite = ~np.isnan(x)
+        np.testing.assert_array_equal(
+            actual[finite].view(np.uint8), expected[finite].view(np.uint8))
+        assert np.all(np.isnan(actual[~finite]))
+
+    def test_f32_stays_f32_through_2d(self):
+        from repro.litho.resist import _stable_sigmoid
+        x = np.linspace(-5, 5, 64, dtype=np.float32).reshape(8, 8)
+        out = _stable_sigmoid(x)
+        assert out.dtype == np.float32 and out.shape == (8, 8)

@@ -79,6 +79,30 @@ class TestCaptureTask:
         assert telemetry.span_summary["short"]["count"] == 5
 
 
+class TestTaskTelemetryFields:
+    def test_unset_fields_read_as_empty(self):
+        telemetry = TaskTelemetry(7, 0.5, {"forward_calls": 1.0})
+        assert (telemetry.epoch, telemetry.dropped_spans) == (0.0, 0)
+        assert telemetry.spans == [] and telemetry.span_summary == {}
+        assert telemetry.op_stats == {} and telemetry.module_stats == {}
+        with pytest.raises(AttributeError):
+            telemetry.no_such_field
+
+    def test_pickle_round_trip(self):
+        import pickle
+        bare = pickle.loads(pickle.dumps(
+            capture_task(None, None, {"forward_calls": 2.0}, 0.25)))
+        assert bare.engine_delta == {"forward_calls": 2.0}
+        assert bare.seconds == 0.25 and bare.spans == []
+        traced, tracer = _traced_task()
+        loaded = pickle.loads(pickle.dumps(traced))
+        for name in ("pid", "seconds", "engine_delta", "epoch", "spans",
+                     "span_summary", "dropped_spans", "op_stats",
+                     "module_stats"):
+            assert getattr(loaded, name) == getattr(traced, name), name
+        assert loaded.epoch == tracer.epoch
+
+
 class TestChromeEvents:
     def test_rebase_and_lanes(self):
         telemetry, tracer = _traced_task()

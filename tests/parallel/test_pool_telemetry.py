@@ -111,6 +111,31 @@ class TestEngineTotals:
         finally:
             pool_mod._WORKER_STATE["engines"] = saved
 
+    def test_first_engine_registered_mid_task(self, litho):
+        """A task that registers the worker's first engine ships every
+        call since that engine's registration."""
+        from repro.litho import LithoEngine, build_kernels
+        from repro.parallel import pool as pool_mod
+
+        engine = LithoEngine(kernels=build_kernels(litho))
+        mask = np.zeros((litho.grid, litho.grid))
+        engine.aerial(mask)  # before registration: not counted
+        saved = pool_mod._WORKER_STATE["engines"]
+        engines = []
+        pool_mod._WORKER_STATE["engines"] = engines
+        try:
+            before = pool_mod._engine_totals()
+            assert before == {}
+            engines.append((engine, engine.stats.snapshot()))
+            engine.aerial(np.stack([mask, mask]))
+            delta = pool_mod._engine_totals(before)
+            assert delta["forward_calls"] == 1
+            assert delta["forward_masks"] == 2
+            assert delta["gradient_calls"] == 0
+        finally:
+            pool_mod._WORKER_STATE["engines"] = saved
+
+
 class TestEngineDeltaShipping:
     def test_fleet_totals_count_worker_calls(self, litho):
         with WorkerPool(2, litho_config=litho, health=False) as pool:
