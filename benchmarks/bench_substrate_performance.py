@@ -462,6 +462,17 @@ def test_write_bench_substrate_record():
             lambda: [per_defocus[c.defocus].aerial(masks) * c.dose
                      for c in conditions],
             grid=grid, batch=batch, corners=4)
+    # The process-window ILT step at pw64's shape: the 6-corner window
+    # (2 focus planes x 3 doses) on one mask.
+    from repro.litho import ConditionSet
+    window = LithoEngine.for_conditions(per_defocus[0.0].kernels,
+                                        ConditionSet.parse("window"))
+    masks, targets = _mask_batch(grid, 1), _target_batch(grid, 1)
+    recorder.timeit(
+        f"engine_condition_gradient/grid{grid}/batch1/window",
+        lambda: window.condition_error_and_gradient_wrt_mask(
+            masks, targets, objective="weighted"),
+        grid=grid, batch=1, corners=6)
 
     # Serial vs multiprocess per-clip ILT.  The parallel entry is only
     # recorded when there are real cores to fan across, so the checked-in
@@ -580,6 +591,7 @@ def test_write_bench_substrate_record():
     assert "candidate" in entries[f"autotune_gradient/grid{grid}/batch8"]
     assert f"engine_condition_forward/grid{grid}/batch8/corners4" in entries
     assert f"engine_condition_gradient/grid{grid}/batch1/corners4" in entries
+    assert f"engine_condition_gradient/grid{grid}/batch1/window" in entries
     assert (f"engine_condition_loop_forward/grid{grid}/batch8/corners4"
             in entries)
     assert f"serial_ilt/grid{ilt_grid}/batch{ilt_batch}" in entries

@@ -9,8 +9,8 @@ which the test suite translates into a skip.
 cupy arrays implement the NEP-18 / ``__array_ufunc__`` protocols, so
 the elementwise arithmetic sprinkled through the engine (``np.multiply``,
 ``np.exp`` on spectra, sigmoid clamps) dispatches to the GPU without
-any further seam — only allocation, transfer, GEMM/FFT and the conv
-lowering go through the explicit backend methods.
+any further seam — only allocation, transfer and GEMM/FFT go through
+the explicit backend methods.
 """
 
 from __future__ import annotations

@@ -1,12 +1,10 @@
 """Array-module-generic implementations of the conv lowering primitives.
 
 ``im2col``/``col2im`` are written once against an ``xp`` array module
-(``numpy`` or ``cupy``) and shared by every backend — and by
-``repro.nn.functional``, whose public ``im2col``/``col2im`` delegate
-here with ``xp=numpy``.  Both modules expose the same ``pad`` /
-``lib.stride_tricks.as_strided`` / ``copyto`` surface, so a single
-implementation keeps the numpy path bit-identical while giving the GPU
-backend the identical lowering for free.
+(``numpy`` or ``cupy``); ``repro.nn.functional``'s public
+``im2col``/``col2im`` delegate here with ``xp=numpy``.  Both modules
+expose the same ``pad`` / ``lib.stride_tricks.as_strided`` /
+``copyto`` surface, so one implementation serves either.
 """
 
 from __future__ import annotations

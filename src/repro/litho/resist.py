@@ -50,11 +50,24 @@ def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
     flows through here); everything else computes in float64.
     """
     x = np.asarray(x)
-    dtype = x.dtype if x.dtype == np.float32 else np.float64
-    x = x.astype(dtype, copy=False)
-    # Branch-free: with e = exp(-|x|) the two branches are the textbook
-    # 1 / (1 + exp(-x)) for x >= 0 and exp(x) / (1 + exp(x)) below, to
-    # the bit; neither exponent can overflow.
-    e = np.exp(-np.abs(x))
-    denominator = 1.0 + e
-    return np.where(x >= 0, 1.0 / denominator, e / denominator)
+    x = x.astype(np.float32 if x.dtype == np.float32 else np.float64)
+    return _stable_sigmoid_into(x, np.empty_like(x))
+
+
+def _stable_sigmoid_into(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The sigmoid of ``x`` written to ``out`` (same shape and dtype),
+    allocating nothing; ``x`` is overwritten.
+
+    Branch- and select-free: with ``e = exp(-|x|)`` the two branches
+    are the textbook ``1 / (1 + exp(-x))`` for ``x >= 0`` and
+    ``exp(x) / (1 + exp(x))`` below, to the bit, and neither exponent
+    can overflow.  The numerator ``max(e, [x >= 0])`` is exactly 1 on
+    the first branch (``e <= 1``) and ``e`` (or NaN) on the second.
+    """
+    numerator = np.greater_equal(x, 0, out=out)
+    e = np.abs(x, out=x)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    np.maximum(e, numerator, out=numerator)
+    denominator = np.add(1.0, e, out=e)
+    return np.divide(numerator, denominator, out=numerator)

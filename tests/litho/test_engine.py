@@ -246,3 +246,44 @@ class TestEngineInterface:
         assert set(np.unique(masks)) <= {0.0, 1.0}
         np.testing.assert_allclose(
             l2, engine.discrete_l2(masks, targets))
+
+
+class TestSharedTarget:
+    """A 2-D or ``(1, H, W)`` target serves every mask of a batch, also
+    when the batch runs in more than one gradient chunk; any other
+    leading size is rejected."""
+
+    GRID = 64
+
+    def _check(self, gradient, chunk):
+        batch = chunk + 3
+        masks = _mask_batch(self.GRID, batch)
+        target = _target_batch(self.GRID, 1)
+        expected = gradient(masks, np.repeat(target, batch, axis=0))
+        for shared in (target, target[0]):
+            errors, grads = gradient(masks, shared)
+            np.testing.assert_array_equal(errors, expected[0])
+            np.testing.assert_array_equal(grads, expected[1])
+
+    def test_nominal_past_one_chunk(self):
+        engine = _engine(self.GRID)
+        self._check(engine.error_and_gradient_wrt_mask,
+                    engine._gradient_chunk)
+
+    @pytest.mark.parametrize("objective", ["weighted", "worst"])
+    def test_condition_past_one_chunk(self, objective):
+        engine = LithoEngine.for_conditions(_engine(self.GRID).kernels,
+                                            ConditionSet.parse("window"))
+        def gradient(masks, targets):
+            return engine.condition_error_and_gradient_wrt_mask(
+                masks, targets, objective=objective)
+
+        self._check(gradient, engine._condition().chunk)
+
+    def test_other_leading_size_names_both_shapes(self):
+        engine = _engine(16)
+        masks = _mask_batch(16, 3)
+        with pytest.raises(ValueError, match=r"\(2, 16, 16\).*\(3, 16, 16\)"):
+            engine.error_and_gradient_wrt_mask(masks, _target_batch(16, 2))
+        with pytest.raises(ValueError, match="target shape"):
+            engine.litho_error(masks, np.zeros((3, 8, 8)))
