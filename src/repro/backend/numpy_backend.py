@@ -31,3 +31,8 @@ class NumpyBackend(ArrayBackend):
 
     def is_native(self, array) -> bool:
         return isinstance(array, np.ndarray)
+
+    def take(self, array, indices, axis: int, out):
+        # With ``out``, mode "raise" gathers through a temporary buffer;
+        # the indices are valid, so "clip" only skips that copy.
+        return np.take(array, indices, axis=axis, out=out, mode="clip")
