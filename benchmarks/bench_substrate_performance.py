@@ -8,8 +8,6 @@ CPU scale a user can push):
 * one ILT gradient step (Eq. 14),
 * the unified engine's forward and adjoint throughput, batch 1 vs 8,
 * f32 vs f64 engine throughput (the precision fast path),
-* the backend seam (explicit numpy backend vs the default inline path)
-  and the autotuner's chosen engine tuning,
 * f64 vs f32 ILT-guided pretrain steps (end-to-end f32 training),
 * serial vs multiprocess per-clip ILT (the ``repro.parallel`` layer),
 * one generator forward pass,
@@ -386,29 +384,15 @@ def test_write_bench_substrate_record():
                                                        big_targets),
         grid=big_grid, batch=1)
 
-    # Backend seam: an engine built on the explicit numpy backend must
-    # cost the same as the default inline path (the seam is free), and
-    # a full ILT-guided pretrain step records the end-to-end f64 vs f32
-    # training throughput the 1.5x acceptance bar gates.
-    from repro.backend import resolve_backend
-    from repro.backend.autotune import autotune_engine, candidate_key
-
+    # A full ILT-guided pretrain step records the end-to-end f64 vs
+    # f32 training throughput the 1.5x acceptance bar gates.
     batch = 8
-    masks = _mask_batch(grid, batch)
-    targets = _target_batch(grid, batch)
-    seamed = LithoEngine.for_kernels(kernels, precision="f64",
-                                     backend=resolve_backend("numpy"))
-    recorder.timeit(
-        f"backend_numpy_gradient/grid{grid}/batch{batch}",
-        lambda: seamed.error_and_gradient_wrt_mask(masks, targets),
-        grid=grid, batch=batch, backend="numpy")
     for precision in ("f64", "f32"):
         pretrainer, pre_targets = _pretrainer(kernels, precision, batch)
         recorder.timeit(
-            f"backend_pretrain_step/grid{grid}/batch{batch}/{precision}",
+            f"nn_pretrain_step/grid{grid}/batch{batch}/{precision}",
             lambda: pretrainer.step(pre_targets),
-            grid=grid, batch=batch, backend="numpy", precision=precision,
-            repeats=3)
+            grid=grid, batch=batch, precision=precision, repeats=3)
 
     # One Algorithm 1 iteration (generator + discriminator step) at
     # the shape ``train64`` trains: pure nn conv/deconv/batch-norm work.
@@ -418,23 +402,6 @@ def test_write_bench_substrate_record():
         f"nn_gan_step/grid{grid}/batch{gan_batch}",
         lambda: trainer.train_iteration(gan_targets, gan_masks),
         grid=grid, batch=gan_batch)
-
-    # Autotuner: measure the candidate grid on the live engine, adopt
-    # the winner, and record the tuned gradient throughput next to the
-    # untuned reference above.  The chosen candidate is stored in the
-    # entry metadata so regressions in the *choice* are visible, not
-    # just regressions in the timing.
-    result = autotune_engine(
-        LithoEngine.for_kernels(kernels, precision="f64"),
-        batch=batch, repeats=3)
-    tuned_engine = LithoEngine(kernels=kernels, precision="f64",
-                               tuning=result.tuning)
-    recorder.timeit(
-        f"autotune_gradient/grid{grid}/batch{batch}",
-        lambda: tuned_engine.error_and_gradient_wrt_mask(masks, targets),
-        grid=grid, batch=batch,
-        candidate=candidate_key(result.tuning),
-        gflops=result.gflops)
 
     # Condition-stack throughput: C=4 corners (2 defocus x 2 dose)
     # through one stacked forward/adjoint, plus the per-corner loop it
@@ -583,12 +550,9 @@ def test_write_bench_substrate_record():
     assert f"engine_forward/grid{grid}/batch8" in entries
     assert f"engine_gradient/grid{grid}/batch1" in entries
     assert f"engine_forward_f32/grid{grid}/batch8" in entries
-    assert f"backend_numpy_gradient/grid{grid}/batch8" in entries
-    assert f"backend_pretrain_step/grid{grid}/batch8/f64" in entries
-    assert f"backend_pretrain_step/grid{grid}/batch8/f32" in entries
+    assert f"nn_pretrain_step/grid{grid}/batch8/f64" in entries
+    assert f"nn_pretrain_step/grid{grid}/batch8/f32" in entries
     assert f"nn_gan_step/grid{grid}/batch4" in entries
-    assert f"autotune_gradient/grid{grid}/batch8" in entries
-    assert "candidate" in entries[f"autotune_gradient/grid{grid}/batch8"]
     assert f"engine_condition_forward/grid{grid}/batch8/corners4" in entries
     assert f"engine_condition_gradient/grid{grid}/batch1/corners4" in entries
     assert f"engine_condition_gradient/grid{grid}/batch1/window" in entries

@@ -56,7 +56,7 @@ class BenchRecorder:
         """Record one entry; ``batch`` adds derived throughput.
 
         Extra metadata is numeric by default; strings pass through
-        unchanged (backend names, autotune candidate keys).
+        unchanged (e.g. a precision name).
         """
         entry: Dict[str, object] = {"seconds": float(seconds)}
         if grid is not None:

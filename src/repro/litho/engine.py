@@ -72,8 +72,6 @@ from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.backend import ArrayBackend, resolve_backend
-from repro.backend.autotune import EngineTuning, env_tuning
 from repro.obs import trace
 from repro.obs.registry import MetricsRegistry
 from repro.workspace import Workspace
@@ -347,11 +345,6 @@ class _HopkinsStage:
     ``tag`` namespaces the stage's workspace buffers.
     """
 
-    _DEVICE_ARRAYS = ("freq_t", "adj_t", "group_weights", "kernel_group",
-                      "spec_row", "spec_col_ri", "inv_row", "inv_col_ri",
-                      "fwd_row", "fwd_col_ri", "grad_row", "grad_col_ri",
-                      "interp", "interp_t")
-
     def __init__(self, freq: np.ndarray, weights: np.ndarray,
                  group_sizes: List[int], rdtype: np.dtype, cdtype: np.dtype,
                  tag: str, coarse: Optional[int] = None):
@@ -445,31 +438,22 @@ class _HopkinsStage:
         bytes_per_sample = num_kernels * coarse * coarse * rdtype.itemsize
         self.gradient_chunk = max(1, (2 << 20) // bytes_per_sample)
 
-    def to_backend(self, backend: ArrayBackend) -> None:
-        """Move the constant tensors onto the backend device (identity
-        for numpy)."""
-        for attr in self._DEVICE_ARRAYS:
-            value = getattr(self, attr)
-            if value is not None:
-                setattr(self, attr, backend.asarray(value))
-
-    def spectrum(self, backend: ArrayBackend, ws: Workspace,
-                 batch: np.ndarray) -> np.ndarray:
+    def spectrum(self, ws: Workspace, batch: np.ndarray) -> np.ndarray:
         """Mask spectrum on the half passband, ``(n, P, Ph)``."""
         n, grid = batch.shape[0], self.grid
         n_rows, n_half = self.freq_t.shape[0], self.freq_t.shape[2]
         with trace.span("litho.spectrum", masks=n):
-            half = backend.matmul(
+            half = np.matmul(
                 batch, self.spec_col_ri,
                 out=ws.get(self.tag + "spec.half", (n, grid, 2 * n_half),
                            self.rdtype))
-            return backend.matmul(
+            return np.matmul(
                 self.spec_row, half.view(self.cdtype),
                 out=ws.get(self.tag + "spec.compact", (n, n_rows, n_half),
                            self.cdtype))
 
-    def forward(self, backend: ArrayBackend, ws: Workspace,
-                batch: np.ndarray, out: Optional[np.ndarray] = None
+    def forward(self, ws: Workspace, batch: np.ndarray,
+                out: Optional[np.ndarray] = None
                 ) -> Tuple[np.ndarray, np.ndarray]:
         """``(intensity, fields)``: per-group aerial images
         ``(n, N, G, N)`` and real coarse fields ``(n, M, J, M)``.
@@ -482,15 +466,15 @@ class _HopkinsStage:
         n_rows, num_kernels, n_half = self.freq_t.shape
         groups = self.num_groups
         ws_get, tag = ws.get, self.tag
-        compact = self.spectrum(backend, ws, batch)
+        compact = self.spectrum(ws, batch)
         product = ws_get(tag + "fwd.product",
                          (n, n_rows, num_kernels, n_half), self.cdtype)
         np.multiply(compact[:, :, None, :], self.freq_t, out=product)
-        by_rows = backend.matmul(
+        by_rows = np.matmul(
             self.inv_row, product.reshape(n, n_rows, num_kernels * n_half),
             out=ws_get(tag + "fwd.rows", (n, coarse, num_kernels * n_half),
                        self.cdtype))
-        fields = backend.matmul(
+        fields = np.matmul(
             by_rows.view(self.rdtype).reshape(n, coarse * num_kernels,
                                               2 * n_half),
             self.inv_col_ri,
@@ -510,19 +494,19 @@ class _HopkinsStage:
             coarse_intensity = ws_get(tag + "fwd.coarse",
                                       (n, coarse, groups, coarse),
                                       self.rdtype)
-        backend.matmul(self.group_weights, squared, out=coarse_intensity)
+        np.matmul(self.group_weights, squared, out=coarse_intensity)
         if self.interp is not None:
-            right = backend.matmul(
+            right = np.matmul(
                 coarse_intensity.reshape(n, coarse * groups, coarse),
                 self.interp_t,
                 out=ws_get(tag + "fwd.right", (n, coarse * groups, grid),
                            self.rdtype))
-            backend.matmul(self.interp,
-                           right.reshape(n, coarse, groups * grid), out=out)
+            np.matmul(self.interp, right.reshape(n, coarse, groups * grid),
+                      out=out)
         return out.reshape(n, grid, groups, grid), fields
 
-    def adjoint(self, backend: ArrayBackend, ws: Workspace,
-                fields: np.ndarray, upstream: np.ndarray) -> np.ndarray:
+    def adjoint(self, ws: Workspace, fields: np.ndarray,
+                upstream: np.ndarray) -> np.ndarray:
         """Mask gradient ``(n, N, N)`` (freshly allocated) from the
         :meth:`forward` fields and the per-group upstream ``dE/dI``
         (any array reshapeable to ``(n, N, G * N)``)."""
@@ -536,11 +520,11 @@ class _HopkinsStage:
         else:
             # U^T g U: the difference-band projection of dE/dI, short
             # of its (M/N)^2 scale (see ``fwd_row``).
-            left = backend.matmul(
+            left = np.matmul(
                 self.interp_t, upstream,
                 out=ws_get(tag + "adj.left", (n, coarse, groups * grid),
                            self.rdtype))
-            coarse_up = backend.matmul(
+            coarse_up = np.matmul(
                 left.reshape(n, coarse * groups, grid), self.interp,
                 out=ws_get(tag + "adj.coarse", (n, coarse * groups, coarse),
                            self.rdtype)).reshape(n, coarse, groups, coarse)
@@ -548,15 +532,17 @@ class _HopkinsStage:
         # Each kernel's field times its group's upstream.
         weighted = ws_get(tag + "adj.weighted", fields.shape, self.rdtype)
         if groups > 1:
-            coarse_up = backend.take(coarse_up, self.kernel_group, 2,
-                                     weighted)
+            # With ``out``, mode "raise" gathers through a temporary
+            # buffer; the indices are valid, so "clip" only skips it.
+            coarse_up = np.take(coarse_up, self.kernel_group, axis=2,
+                                out=weighted, mode="clip")
         np.multiply(fields, coarse_up, out=weighted)
-        half = backend.matmul(
+        half = np.matmul(
             weighted.reshape(n, coarse * num_kernels, coarse),
             self.fwd_col_ri,
             out=ws_get(tag + "adj.half", (n, coarse * num_kernels, 2 * n_half),
                        self.rdtype))
-        spectra = backend.matmul(
+        spectra = np.matmul(
             self.fwd_row,
             half.view(self.cdtype).reshape(n, coarse, num_kernels * n_half),
             out=ws_get(tag + "adj.spectra",
@@ -566,10 +552,10 @@ class _HopkinsStage:
         accumulated = spectra.sum(
             axis=2, out=ws_get(tag + "adj.acc", (n, n_rows, n_half),
                                self.cdtype))
-        expanded = backend.matmul(
+        expanded = np.matmul(
             self.grad_row, accumulated,
             out=ws_get(tag + "adj.expand", (n, grid, n_half), self.cdtype))
-        return backend.matmul(expanded.view(self.rdtype), self.grad_col_ri)
+        return np.matmul(expanded.view(self.rdtype), self.grad_col_ri)
 
 
 class _Corners:
@@ -581,16 +567,17 @@ class _Corners:
     is a pure intensity scale applied afterwards.  The nominal engine's
     own corner is the case ``C = G = 1``.  ``combine`` is the weighted
     objective's ``(G, C)`` fold of corner upstreams onto groups:
-    ``lam_c`` at ``(group_of[c], c)``, zero elsewhere.
+    ``lam_c`` at ``(group_of[c], c)``, zero elsewhere.  ``chunk`` is
+    the stage's batched-gradient chunk (its ~2 MB cache heuristic).
     """
 
     __slots__ = ("stage", "group_of", "gather", "doses", "lam", "combine",
                  "chunk")
 
     def __init__(self, stage: _HopkinsStage, group_of: np.ndarray,
-                 doses: np.ndarray, lam: np.ndarray, chunk: int):
+                 doses: np.ndarray, lam: np.ndarray):
         num_corners, rdtype = len(group_of), stage.rdtype
-        self.stage, self.chunk = stage, chunk
+        self.stage, self.chunk = stage, stage.gradient_chunk
         self.group_of = np.asarray(group_of, dtype=int)
         # Gather groups onto corners unless the group intensity already
         # is the corner tensor.
@@ -630,20 +617,6 @@ class LithoEngine:
         ``litho_error``, ...) always evaluate the engine's own config
         regardless of ``conditions``.
 
-    backend:
-        :class:`~repro.backend.ArrayBackend` (or backend name) the
-        engine computes on; ``None`` consults ``REPRO_BACKEND`` and
-        defaults to the numpy reference backend, which is bit-identical
-        to the pre-seam inline numpy code.  Non-host backends (cupy)
-        accept host or device masks and return device arrays
-        (``engine.backend.to_numpy`` brings results back).
-    tuning:
-        Optional :class:`~repro.backend.autotune.EngineTuning`
-        overriding the batch-chunk heuristic; ``None`` consults the
-        ``REPRO_AUTOTUNE`` preset file (unset keeps the built-in
-        heuristic).  Chunking only splits independent samples, so any
-        tuning is bit-exact with the default.
-
     All mask-consuming methods accept either a single ``(H, W)`` array
     or a batch ``(N, H, W)`` and return results of matching rank; error
     terms come back as a ``float`` for single masks and an ``(N,)``
@@ -655,9 +628,7 @@ class LithoEngine:
     def __init__(self, config: Optional[LithoConfig] = None,
                  kernels: Optional[KernelSet] = None,
                  precision: Optional[str] = None,
-                 conditions: Optional[ConditionSet] = None,
-                 backend: Optional[Union[str, ArrayBackend]] = None,
-                 tuning: Optional[EngineTuning] = None):
+                 conditions: Optional[ConditionSet] = None):
         if kernels is None:
             config = config or LithoConfig.paper()
             kernels = build_kernels(config)
@@ -668,28 +639,14 @@ class LithoEngine:
         self.precision = resolve_precision(precision)
         rdtype, cdtype = PRECISION_DTYPES[self.precision]
         self._rdtype, self._cdtype = rdtype, cdtype
-        self.backend = resolve_backend(backend)
-        # The backend's array module: allocations and explicit array
-        # constructors route through it; elementwise math on
-        # backend-native arrays dispatches via NEP-18 unchanged.
-        self._xp = self.backend.xp
 
         # The hot path: every per-kernel step runs on the coarse grid.
         self._stage = _HopkinsStage(
             kernels.freq_kernels, kernels.weights, [len(kernels.weights)],
             rdtype, cdtype, tag="")
-        self._stage.to_backend(self.backend)
-
-        # Batched-gradient chunk size: the stage's cache heuristic
-        # unless a tuning (explicit or from the REPRO_AUTOTUNE preset
-        # file) overrides it for this hardware.
-        if tuning is None:
-            tuning = env_tuning(self.backend.name, self.precision,
-                                kernels.grid)
-        self.tuning = tuning if tuning is not None else EngineTuning()
         # The nominal stage's one corner at dose 1 (other doses build
         # theirs per call).
-        self._nominal = self._corners(self._stage, [0], [1.0], [1.0])
+        self._nominal = _Corners(self._stage, [0], [1.0], [1.0])
         self._gradient_chunk = self._nominal.chunk
 
         if conditions is None:
@@ -701,36 +658,30 @@ class LithoEngine:
         self.conditions = conditions
         self._condition_stack: Optional[_Corners] = None
 
-        self.workspace = Workspace(backend=self.backend)
+        self.workspace = Workspace()
         self.metrics = MetricsRegistry()
         self.stats = EngineStats(self.metrics)
 
     # ------------------------------------------------------------------
     @classmethod
     def for_kernels(cls, kernels: KernelSet,
-                    precision: Optional[str] = None,
-                    backend: Optional[Union[str, ArrayBackend]] = None
-                    ) -> "LithoEngine":
-        """Shared engine for a kernel set (memoized per
-        (precision, backend) on the instance)."""
+                    precision: Optional[str] = None) -> "LithoEngine":
+        """Shared engine for a kernel set (memoized per precision on
+        the instance)."""
         precision = resolve_precision(precision)
-        be = resolve_backend(backend)
         engines = kernels.__dict__.get("_engines")
         if engines is None:
             engines = {}
             object.__setattr__(kernels, "_engines", engines)
-        key = (precision, be.name)
-        engine = engines.get(key)
+        engine = engines.get(precision)
         if engine is None:
-            engine = cls(kernels=kernels, precision=precision, backend=be)
-            engines[key] = engine
+            engine = cls(kernels=kernels, precision=precision)
+            engines[precision] = engine
         return engine
 
     @classmethod
     def for_conditions(cls, kernels: KernelSet, conditions: ConditionSet,
-                       precision: Optional[str] = None,
-                       backend: Optional[Union[str, ArrayBackend]] = None
-                       ) -> "LithoEngine":
+                       precision: Optional[str] = None) -> "LithoEngine":
         """Shared engine serving a condition stack (memoized per
         (conditions, precision) on the nominal kernel set).
 
@@ -739,18 +690,17 @@ class LithoEngine:
         bit-exact with the current nominal engine by construction.
         """
         if conditions.is_single_nominal(kernels.config.optics.defocus):
-            return cls.for_kernels(kernels, precision, backend)
+            return cls.for_kernels(kernels, precision)
         precision = resolve_precision(precision)
-        be = resolve_backend(backend)
         engines = kernels.__dict__.get("_condition_engines")
         if engines is None:
             engines = {}
             object.__setattr__(kernels, "_condition_engines", engines)
-        key = (conditions, precision, be.name)
+        key = (conditions, precision)
         engine = engines.get(key)
         if engine is None:
             engine = cls(kernels=kernels, precision=precision,
-                         conditions=conditions, backend=be)
+                         conditions=conditions)
             engines[key] = engine
         return engine
 
@@ -761,8 +711,7 @@ class LithoEngine:
     @property
     def passband_shape(self) -> Tuple[Tuple[int, int], Tuple[int, int]]:
         """``((rows, cols), (rows, half_cols))``: the kernel passband
-        and the ``v >= 0`` half of it the stage computes on — the
-        latter is what the autotuner's FLOP model scores."""
+        and the ``v >= 0`` half of it the stage computes on."""
         stage = self._stage
         return ((len(stage.rows), len(stage.cols)),
                 (stage.freq_t.shape[0], stage.freq_t.shape[2]))
@@ -785,7 +734,7 @@ class LithoEngine:
     # ------------------------------------------------------------------
     def _as_batch(self, masks: np.ndarray) -> Tuple[np.ndarray, bool]:
         """Promote a mask or mask stack to ``(N, grid, grid)``."""
-        masks = self.backend.asarray(masks)
+        masks = np.asarray(masks)
         if masks.dtype != self._rdtype:
             masks = masks.astype(self._rdtype)
         single = masks.ndim == 2
@@ -804,7 +753,7 @@ class LithoEngine:
                     shape: Tuple[int, ...]) -> np.ndarray:
         """Targets as an array of the mask batch's ``shape``: a 2-D or
         ``(1, H, W)`` target is shared by every mask."""
-        targets = self.backend.asarray(targets)
+        targets = np.asarray(targets)
         if targets.dtype != self._rdtype:
             targets = targets.astype(self._rdtype)
         stacked = targets[None] if targets.ndim == 2 else targets
@@ -829,8 +778,8 @@ class LithoEngine:
         n, grid = batch.shape[0], self.grid
         with trace.span("litho.forward", masks=n):
             intensity, _ = self._stage.forward(
-                self.backend, self.workspace, batch,
-                out=self._xp.empty((n, grid, grid), dtype=self._rdtype))
+                self.workspace, batch,
+                out=np.empty((n, grid, grid), dtype=self._rdtype))
             intensity = intensity[:, :, 0]
             if dose != 1.0:
                 intensity *= dose
@@ -840,13 +789,13 @@ class LithoEngine:
     def _fields(self, batch: np.ndarray,
                 spectrum: Optional[np.ndarray] = None) -> np.ndarray:
         """Complex coherent fields ``M (x) h_k`` of the kernel set's own
-        kernels, ``(N, K, grid, grid)``: a host-side ``ifft2`` per
-        kernel (not a hot path)."""
+        kernels, ``(N, K, grid, grid)``: an ``ifft2`` per kernel (not a
+        hot path)."""
         if spectrum is None:
-            spectrum = real_spectrum(self.backend.to_numpy(batch))
+            spectrum = real_spectrum(batch)
         fields = np.fft.ifft2(spectrum[:, None] * self.kernels.freq_kernels,
                               axes=(-2, -1))
-        return self.backend.asarray(fields.astype(self._cdtype, copy=False))
+        return fields.astype(self._cdtype, copy=False)
 
     # ------------------------------------------------------------------
     # Forward model
@@ -854,12 +803,11 @@ class LithoEngine:
     def spectrum(self, mask: np.ndarray) -> np.ndarray:
         """Full FFT of a mask or mask batch (rfft2 + Hermitian expand).
 
-        A host-side reference path: the full-grid spectrum is computed
-        with numpy regardless of backend (the hot paths never call it —
-        they evaluate the passband directly via matmul-DFTs).
+        A reference path: the hot paths never call it — they evaluate
+        the passband directly via matmul-DFTs.
         """
         batch, single = self._as_batch(mask)
-        full = real_spectrum(self.backend.to_numpy(batch))
+        full = real_spectrum(batch)
         return full[0] if single else full
 
     def fields(self, mask: np.ndarray,
@@ -881,7 +829,7 @@ class LithoEngine:
                           ) -> Tuple[np.ndarray, np.ndarray]:
         """``(intensity, fields)`` with the complex full-grid fields of
         the kernel set's kernels, ``(K, H, W)`` or ``(N, K, H, W)``
-        (not a hot path: the fields come from a host-side ``ifft2``)."""
+        (not a hot path: the fields come from a full-grid ``ifft2``)."""
         batch, single = self._as_batch(mask)
         intensity = self._forward(batch, dose)
         fields = self._fields(batch)
@@ -936,7 +884,7 @@ class LithoEngine:
         grid.
         """
         corners = (self._nominal if dose == 1.0
-                   else self._corners(self._stage, [0], [dose], [1.0]))
+                   else _Corners(self._stage, [0], [dose], [1.0]))
         return self._gradient(corners, mask_relaxed, target, threshold,
                               resist_steepness, "weighted", {})
 
@@ -962,25 +910,12 @@ class LithoEngine:
         (Eq. 13)."""
         beta = (self.config.mask_steepness if mask_steepness is None
                 else mask_steepness)
-        params = self.backend.asarray(mask_params)
+        params = np.asarray(mask_params)
         if params.dtype != self._rdtype:
             params = params.astype(self._rdtype)
         relaxed = sigmoid_mask(params, beta)
         error, grad_mb = gradient_wrt_mask(relaxed)
         return error, beta * relaxed * (1.0 - relaxed) * grad_mb
-
-    def _corners(self, stage: _HopkinsStage, group_of, doses,
-                 lam) -> _Corners:
-        """:class:`_Corners` on the backend device, chunked by the
-        tuning when it sets one, else by the stage's cache heuristic."""
-        chunk = (int(self.tuning.batch_chunk) if self.tuning.batch_chunk
-                 else stage.gradient_chunk)
-        corners = _Corners(stage, group_of, doses, lam, chunk)
-        for attr in ("group_of", "doses", "lam", "combine"):
-            value = getattr(corners, attr)
-            if value is not None:
-                setattr(corners, attr, self.backend.asarray(value))
-        return corners
 
     def _gradient(self, corners: _Corners, mask_relaxed: np.ndarray,
                   target: np.ndarray, threshold: Optional[float],
@@ -1002,8 +937,8 @@ class LithoEngine:
         # (~2 MB); past that point batching degrades on one core.
         with trace.span("litho.adjoint", masks=n, **span_args):
             if n > chunk:
-                errors = self._xp.empty(n, dtype=self._rdtype)
-                grads = self._xp.empty(batch.shape, dtype=self._rdtype)
+                errors = np.empty(n, dtype=self._rdtype)
+                grads = np.empty(batch.shape, dtype=self._rdtype)
                 for i in range(0, n, chunk):
                     errors[i:i + chunk], grads[i:i + chunk] = self._epilogue(
                         corners, batch[i:i + chunk], targets[i:i + chunk],
@@ -1029,18 +964,17 @@ class LithoEngine:
         nominal order, in place in the workspace, so ``C = 1`` is
         bit-identical to evaluating the nominal formulas directly.
         """
-        stage, ws, xp, rdtype = (corners.stage, self.workspace, self._xp,
-                                 self._rdtype)
+        stage, ws, rdtype = corners.stage, self.workspace, self._rdtype
         n, grid, num_corners = batch.shape[0], self.grid, len(corners.lam)
         # Keyed by corner count: a stage may serve the nominal corner
         # and a condition stack on one engine.
         tag = f"{stage.tag}epi{num_corners}."
         shape = (n, grid, num_corners, grid)
-        intensity, fields = stage.forward(self.backend, ws, batch)
+        intensity, fields = stage.forward(ws, batch)
         if corners.gather:
-            intensity = self.backend.take(
-                intensity, corners.group_of, 2,
-                ws.get(tag + "intensity", shape, rdtype))
+            intensity = np.take(intensity, corners.group_of, axis=2,
+                                out=ws.get(tag + "intensity", shape, rdtype),
+                                mode="clip")
         if corners.doses is not None:
             intensity *= corners.doses
         intensity -= threshold
@@ -1062,14 +996,13 @@ class LithoEngine:
         # Fold corner upstreams onto defocus groups:
         # (n, 1, G, C) @ (n, N, C, N) -> (n, N, G, N).
         if num_corners == 1:
-            return errors[:, 0], stage.adjoint(self.backend, ws, fields,
-                                               upstream)
+            return errors[:, 0], stage.adjoint(ws, fields, upstream)
         if objective == "weighted":
             combine, aggregated = corners.combine, errors @ corners.lam
         else:  # the per-sample worst corner
             worst = np.argmax(errors, axis=1)
-            samples = xp.arange(n)
-            combine = xp.zeros((n, 1, stage.num_groups, num_corners),
+            samples = np.arange(n)
+            combine = np.zeros((n, 1, stage.num_groups, num_corners),
                                dtype=rdtype)
             combine[samples, 0, corners.group_of[worst], worst] = 1.0
             aggregated = errors[samples, worst]
@@ -1077,7 +1010,7 @@ class LithoEngine:
             combine, upstream,
             out=ws.get(tag + "grouped", (n, grid, stage.num_groups, grid),
                        rdtype))
-        return aggregated, stage.adjoint(self.backend, ws, fields, grouped)
+        return aggregated, stage.adjoint(ws, fields, grouped)
 
     # ------------------------------------------------------------------
     def binarized_score(self, mask_params: np.ndarray, target: np.ndarray,
@@ -1092,7 +1025,7 @@ class LithoEngine:
         beta = (self.config.mask_steepness if mask_steepness is None
                 else mask_steepness)
         masks = binarize_mask(sigmoid_mask(
-            self.backend.asarray(mask_params, dtype=np.float64), beta))
+            np.asarray(mask_params, dtype=np.float64), beta))
         return masks, self.discrete_l2(masks, target)
 
     # ------------------------------------------------------------------
@@ -1154,8 +1087,7 @@ class LithoEngine:
                     np.concatenate([ks.weights for ks in kernel_sets]),
                     [len(ks.weights) for ks in kernel_sets], self._rdtype,
                     self._cdtype, tag="cond.")
-                stage.to_backend(self.backend)
-            self._condition_stack = self._corners(
+            self._condition_stack = _Corners(
                 stage, group_of, self.conditions.doses,
                 self.conditions.normalized_weights())
         return self._condition_stack
@@ -1175,12 +1107,11 @@ class LithoEngine:
         started = time.perf_counter()
         with trace.span("litho.forward", masks=batch.shape[0],
                         corners=self.num_conditions):
-            intensity, _ = corners.stage.forward(self.backend,
-                                                 self.workspace, batch)
+            intensity, _ = corners.stage.forward(self.workspace, batch)
             intensity = np.take(intensity, corners.group_of, axis=2)
             if corners.doses is not None:
                 intensity *= corners.doses
-            out = self._xp.ascontiguousarray(intensity.transpose(0, 2, 1, 3))
+            out = np.ascontiguousarray(intensity.transpose(0, 2, 1, 3))
         self.stats.record_forward(batch.shape[0],
                                   time.perf_counter() - started)
         return out[0] if single else out

@@ -26,7 +26,6 @@ class TestILTConfig:
         {"step_size": 0.0},
         {"momentum": 1.0},
         {"eval_interval": 0},
-        {"pvb_weight": -0.1},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
@@ -112,46 +111,3 @@ class TestWarmStart:
         refined = refiner.refine(target, first.mask, max_iterations=40)
         assert refined.l2 <= first.l2 + 4
         assert refined.iterations <= 40
-
-
-class TestProcessWindowTerm:
-    def test_pvb_weight_changes_result(self, litho32, kernels32):
-        target = _two_wires()
-        nominal = ILTOptimizer(litho32, ILTConfig(max_iterations=30),
-                               kernels=kernels32).optimize(target)
-        aware = ILTOptimizer(litho32,
-                             ILTConfig(max_iterations=30, pvb_weight=0.5),
-                             kernels=kernels32).optimize(target)
-        # Different objective -> different relaxed trajectory.
-        assert not np.allclose(nominal.relaxed_history, aware.relaxed_history)
-
-    @pytest.mark.parametrize("weight", [0.5, 2.0])
-    def test_pvb_weight_matches_three_call_formula(self, litho32, kernels32,
-                                                   weight):
-        """The pvb objective is the nominal error and gradient plus
-        ``w`` times each dose corner's, each from its own nominal-engine
-        call."""
-        from repro.litho import LithoEngine
-        target = _two_wires()
-        optimizer = ILTOptimizer(litho32, ILTConfig(pvb_weight=weight),
-                                 kernels=kernels32)
-        rng = np.random.default_rng(11)
-        params = (optimizer.initial_params(target)
-                  + 0.3 * rng.standard_normal(target.shape))
-        error, grad = optimizer._objective_gradient(params, target)
-
-        engine = LithoEngine.for_kernels(kernels32)
-        kwargs = dict(threshold=litho32.threshold,
-                      resist_steepness=litho32.resist_steepness,
-                      mask_steepness=litho32.mask_steepness)
-        expected_error, expected_grad = engine.error_and_gradient(
-            params, target, **kwargs)
-        for dose in (1.0 - litho32.dose_variation,
-                     1.0 + litho32.dose_variation):
-            corner_error, corner_grad = engine.error_and_gradient(
-                params, target, dose=dose, **kwargs)
-            expected_error += weight * corner_error
-            expected_grad = expected_grad + weight * corner_grad
-        assert abs(error - expected_error) <= 1e-12 * abs(expected_error)
-        assert (np.max(np.abs(grad - expected_grad))
-                <= 1e-12 * np.max(np.abs(expected_grad)))

@@ -14,7 +14,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.backend import resolve_backend
 from repro.litho import ConditionSet, LithoConfig, LithoEngine, build_kernels
 from repro.litho.engine import _HopkinsStage
 from repro.workspace import Workspace
@@ -125,15 +124,14 @@ class TestAdjointIdentity:
 
     @staticmethod
     def _check(stage, masks, rng):
-        backend = resolve_backend("numpy")
         n, grid = masks.shape[0], masks.shape[-1]
         v = rng.standard_normal(masks.shape)
         w = rng.standard_normal((n, grid, stage.num_groups, grid))
-        upper, _ = stage.forward(backend, Workspace(), masks + v)
-        lower, _ = stage.forward(backend, Workspace(), masks - v)
+        upper, _ = stage.forward(Workspace(), masks + v)
+        lower, _ = stage.forward(Workspace(), masks - v)
         jv = 0.5 * (upper - lower)
-        _, fields = stage.forward(backend, Workspace(), masks)
-        jtw = stage.adjoint(backend, Workspace(), fields, w)
+        _, fields = stage.forward(Workspace(), masks)
+        jtw = stage.adjoint(Workspace(), fields, w)
         lhs, rhs = np.sum(jv * w), np.sum(v * jtw)
         assert abs(lhs - rhs) <= 1e-12 * np.abs(jv * w).sum()
 
@@ -160,7 +158,6 @@ class TestCoarseBound:
         kernels = engine.kernels
         mask = _mask_batch(grid, 1)
         reference = reference_aerial(mask[0], kernels)
-        backend = resolve_backend("numpy")
         errors = {}
         for size in (engine.coarse_grid - 1, engine.coarse_grid,
                      engine.coarse_grid + 2):
@@ -168,7 +165,7 @@ class TestCoarseBound:
                 kernels.freq_kernels, kernels.weights,
                 [len(kernels.weights)], np.dtype(np.float64),
                 np.dtype(np.complex128), tag="bound.", coarse=size)
-            intensity, _ = stage.forward(backend, Workspace(), mask)
+            intensity, _ = stage.forward(Workspace(), mask)
             errors[size] = (np.abs(intensity[0, :, 0] - reference).max()
                             / np.abs(reference).max())
         assert errors[engine.coarse_grid] <= TOL
@@ -199,17 +196,18 @@ class TestCoarseBound:
 @pytest.mark.parametrize("grid", [64, 128])
 class TestBatchRowsBitExact:
     """Each row of a batched call equals its batch-1 call bit for bit
-    (serial == parallel runs and the dataset library rely on this)."""
-
-    batch = 3
+    (serial == parallel runs and the dataset library rely on this).
+    The batch is one past the engine's gradient chunk, so the batched
+    gradient crosses a chunk boundary."""
 
     def test_nominal_forward_and_gradient(self, grid):
         engine = _engine(grid)
-        masks = _mask_batch(grid, self.batch)
-        targets = _target_batch(grid, self.batch)
+        batch = engine._gradient_chunk + 1
+        masks = _mask_batch(grid, batch)
+        targets = _target_batch(grid, batch)
         aerial = engine.aerial(masks)
         errors, grads = engine.error_and_gradient_wrt_mask(masks, targets)
-        for i in range(self.batch):
+        for i in range(batch):
             np.testing.assert_array_equal(engine.aerial(masks[i]), aerial[i])
             error, grad = engine.error_and_gradient_wrt_mask(masks[i],
                                                              targets[i])
@@ -220,12 +218,13 @@ class TestBatchRowsBitExact:
         engine = LithoEngine.for_conditions(
             build_kernels(LithoConfig.small(grid)),
             ConditionSet.parse("window"))
-        masks = _mask_batch(grid, self.batch)
-        targets = _target_batch(grid, self.batch)
+        batch = engine._condition().chunk + 1
+        masks = _mask_batch(grid, batch)
+        targets = _target_batch(grid, batch)
         aerial = engine.condition_aerial(masks)
         errors, grads = engine.condition_error_and_gradient_wrt_mask(
             masks, targets, objective="worst")
-        for i in range(self.batch):
+        for i in range(batch):
             np.testing.assert_array_equal(
                 engine.condition_aerial(masks[i]), aerial[i])
             error, grad = engine.condition_error_and_gradient_wrt_mask(

@@ -15,7 +15,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.backend import resolve_backend
 from repro.litho import ConditionSet, LithoConfig, LithoEngine, build_kernels
 from repro.litho.engine import _HopkinsStage, _real_kernels, _support
 from repro.workspace import Workspace
@@ -87,6 +86,20 @@ def test_real_kernels_reproduce_eq2(grid, defocus):
             <= 1e-13 * np.abs(reference).max())
 
 
+def test_stage_gemms_at_128():
+    """The four big stage GEMMs of one 128 px batch-1 gradient, counted
+    by hand from the stage's shapes (``P = 25``, ``Ph = 13``,
+    ``M = 49``, 24 real kernels): a complex row GEMM and a real
+    half-column GEMM per direction, 12.1 MFLOP (DESIGN.md §3a)."""
+    engine = LithoEngine.for_kernels(build_kernels(LithoConfig.small(128)))
+    (rows, _), half = engine.passband_shape
+    m, num_kernels = engine.coarse_grid, engine.num_real_kernels
+    assert (rows, half[1], m, num_kernels) == (25, 13, 49, 24)
+    rows_gemm = 8 * m * rows * num_kernels * half[1]
+    cols_gemm = 2 * m * num_kernels * 2 * half[1] * m
+    assert 2 * (rows_gemm + cols_gemm) == pytest.approx(12.1e6, rel=5e-3)
+
+
 class TestHermitianHalfOnClampedGrid:
     """``LithoConfig(grid=32, pixel_nm=20.0)`` runs the stage on the
     full grid (``U = I``); the half-column multiplicities must still
@@ -111,9 +124,8 @@ class TestHermitianHalfOnClampedGrid:
         stage = _HopkinsStage(freq, weights, [num_kernels], F64, C128,
                               tag="nyq.")
         assert stage.coarse == grid and stage.num_kernels == 2 * num_kernels
-        backend = resolve_backend("numpy")
         masks = _mask_batch(grid, 2)
-        intensity, fields = stage.forward(backend, Workspace(), masks)
+        intensity, fields = stage.forward(Workspace(), masks)
         for i in range(2):
             coherent = np.fft.ifft2(np.fft.fft2(masks[i])[None] * freq,
                                     axes=(-2, -1))
@@ -125,9 +137,9 @@ class TestHermitianHalfOnClampedGrid:
         # Adjoint: <J v, w> == <v, J^T w> for the quadratic intensity.
         v = rng.standard_normal(masks.shape)
         w = rng.standard_normal((2, grid, 1, grid))
-        upper, _ = stage.forward(backend, Workspace(), masks + v)
-        lower, _ = stage.forward(backend, Workspace(), masks - v)
+        upper, _ = stage.forward(Workspace(), masks + v)
+        lower, _ = stage.forward(Workspace(), masks - v)
         jv = 0.5 * (upper - lower)
-        jtw = stage.adjoint(backend, Workspace(), fields, w)
+        jtw = stage.adjoint(Workspace(), fields, w)
         lhs, rhs = np.sum(jv * w), np.sum(v * jtw)
         assert abs(lhs - rhs) <= 1e-12 * np.abs(jv * w).sum()

@@ -12,7 +12,6 @@ workspace and be reused across calls.
 import numpy as np
 import pytest
 
-from repro.backend import ops as backend_ops
 from repro.nn import functional as F
 from repro.nn import no_grad
 from repro.nn.tensor import Tensor
@@ -37,7 +36,6 @@ def no_col2im(monkeypatch):
         raise AssertionError("col2im scatter reached")
 
     monkeypatch.setattr(F, "col2im", refuse)
-    monkeypatch.setattr(backend_ops, "col2im", refuse)
 
 
 class TestColumnCaching:

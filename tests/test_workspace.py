@@ -1,16 +1,14 @@
-"""Workspace arenas must never alias buffers across dtypes/backends.
+"""Workspace arenas must never alias buffers across dtypes.
 
-Regression tests for the composite ``(key, dtype, backend)`` storage
-keys: before them, an arena shared by f32 and f64 call paths thrashed
-one slot per key (reallocating on every precision switch) — and worse,
-a same-shape request could hand an f32 caller a live f64 buffer's
+Regression tests for the composite ``(key, dtype)`` storage keys:
+before them, an arena shared by f32 and f64 call paths thrashed one
+slot per key (reallocating on every precision switch) — and worse, a
+same-shape request could hand an f32 caller a live f64 buffer's
 memory reinterpreted.
 """
 
 import numpy as np
 
-from repro.backend import resolve_backend
-from repro.backend.numpy_backend import NumpyBackend
 from repro.workspace import Workspace
 
 
@@ -59,42 +57,11 @@ class TestDtypeKeying:
         assert ws.get("buf", (2, 2), "float64") is a
         assert ws.get("buf", (2, 2), np.dtype(np.float64)) is a
 
-
-class TestBackendKeying:
-    class _FakeBackend(NumpyBackend):
-        name = "fake"
-
-    def test_backend_name_in_storage_key(self):
-        fake = self._FakeBackend()
-        ws = Workspace(enabled=True, backend=fake)
-        buffer = ws.get("buf", (2, 2), np.float64)
-        assert ("buf", np.dtype(np.float64), "fake") in ws._buffers
-        assert ws.get("buf", (2, 2), np.float64) is buffer
-
-    def test_default_backend_name_is_numpy(self):
+    def test_storage_key_is_name_and_dtype(self):
         ws = Workspace(enabled=True)
-        ws.get("buf", (2, 2), np.float64)
-        assert ("buf", np.dtype(np.float64), "numpy") in ws._buffers
-
-    def test_allocation_goes_through_backend(self):
-        calls = []
-
-        class SpyBackend(NumpyBackend):
-            name = "spy"
-
-            def empty(self, shape, dtype):
-                calls.append((tuple(shape), np.dtype(dtype)))
-                return super().empty(shape, dtype=dtype)
-
-        ws = Workspace(enabled=True, backend=SpyBackend())
-        ws.get("buf", (3, 3), np.float32)
-        assert calls == [((3, 3), np.dtype(np.float32))]
-
-    def test_engine_workspace_carries_engine_backend(self):
-        from repro.litho import LithoConfig, LithoEngine, build_kernels
-        engine = LithoEngine(kernels=build_kernels(LithoConfig.small(32)),
-                             backend=resolve_backend("numpy"))
-        assert engine.workspace._backend_name == "numpy"
+        buffer = ws.get("buf", (2, 2), np.float64)
+        assert list(ws._buffers) == [("buf", np.dtype(np.float64))]
+        assert ws.get("buf", (2, 2), np.float64) is buffer
 
 
 class TestDisabled:
