@@ -998,7 +998,11 @@ class LithoEngine:
         if num_corners == 1:
             return errors[:, 0], stage.adjoint(ws, fields, upstream)
         if objective == "weighted":
-            combine, aggregated = corners.combine, errors @ corners.lam
+            combine = corners.combine
+            # A per-row sum, not ``errors @ lam``: a BLAS matrix-vector
+            # product blocks by batch size, so a row's value would
+            # depend on the batch it came in.
+            aggregated = (errors * corners.lam).sum(axis=1)
         else:  # the per-sample worst corner
             worst = np.argmax(errors, axis=1)
             samples = np.arange(n)

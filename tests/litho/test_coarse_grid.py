@@ -49,6 +49,27 @@ class TestNominalOracle:
         assert engine.coarse_grid == 2 * (max(rows, cols) - 1) + 1
         assert engine.coarse_grid < grid
 
+    def test_full_grid_stage_agrees_with_fewer_samples(self, grid):
+        """The same stage on the full grid (``U = I``) gives the same
+        image, while the coarse one holds each of the ``J`` fields on
+        under half as many samples."""
+        engine = _engine(grid)
+        kernels, m = engine.kernels, engine.coarse_grid
+        full = _HopkinsStage(
+            kernels.freq_kernels, kernels.weights, [len(kernels.weights)],
+            np.dtype(np.float64), np.dtype(np.complex128), tag="full.",
+            coarse=grid)
+        assert full.coarse == grid and full.interp is None
+        masks = _mask_batch(grid, 2)
+        coarse_image, coarse_fields = engine._stage.forward(Workspace(),
+                                                            masks)
+        full_image, full_fields = full.forward(Workspace(), masks)
+        num_kernels = engine.num_real_kernels
+        assert coarse_fields.shape == (2, m, num_kernels, m)
+        assert full_fields.shape == (2, grid, num_kernels, grid)
+        assert m * m < 0.5 * grid * grid
+        _assert_close(coarse_image, full_image)
+
     def test_aerial_matches_fft2(self, grid):
         engine = _engine(grid)
         masks = _mask_batch(grid, 2)
@@ -193,15 +214,23 @@ class TestCoarseBound:
             _assert_close(grads[i], ref_grad)
 
 
+# Corner stacks: a focus x dose window (two defocus groups), a
+# defocus-only stack, and dose-only corners on the nominal stage.
+ROW_STACKS = ("window", "40:0.98,0:1.0,40:1.02", "dose")
+
+
+@pytest.mark.parametrize("precision", ["f64", "f32"])
 @pytest.mark.parametrize("grid", [64, 128])
 class TestBatchRowsBitExact:
     """Each row of a batched call equals its batch-1 call bit for bit
     (serial == parallel runs and the dataset library rely on this).
     The batch is one past the engine's gradient chunk, so the batched
-    gradient crosses a chunk boundary."""
+    gradient crosses a chunk boundary; the f32 chunk is twice the f64
+    one."""
 
-    def test_nominal_forward_and_gradient(self, grid):
-        engine = _engine(grid)
+    def test_nominal_forward_and_gradient(self, grid, precision):
+        engine = LithoEngine.for_kernels(
+            build_kernels(LithoConfig.small(grid)), precision=precision)
         batch = engine._gradient_chunk + 1
         masks = _mask_batch(grid, batch)
         targets = _target_batch(grid, batch)
@@ -214,20 +243,23 @@ class TestBatchRowsBitExact:
             assert error == errors[i]
             np.testing.assert_array_equal(grad, grads[i])
 
-    def test_condition_forward_and_gradient(self, grid):
+    @pytest.mark.parametrize("objective", ["weighted", "worst"])
+    @pytest.mark.parametrize("stack", ROW_STACKS)
+    def test_condition_forward_and_gradient(self, grid, precision, stack,
+                                            objective):
         engine = LithoEngine.for_conditions(
             build_kernels(LithoConfig.small(grid)),
-            ConditionSet.parse("window"))
+            ConditionSet.parse(stack), precision=precision)
         batch = engine._condition().chunk + 1
         masks = _mask_batch(grid, batch)
         targets = _target_batch(grid, batch)
         aerial = engine.condition_aerial(masks)
         errors, grads = engine.condition_error_and_gradient_wrt_mask(
-            masks, targets, objective="worst")
+            masks, targets, objective=objective)
         for i in range(batch):
             np.testing.assert_array_equal(
                 engine.condition_aerial(masks[i]), aerial[i])
             error, grad = engine.condition_error_and_gradient_wrt_mask(
-                masks[i], targets[i], objective="worst")
+                masks[i], targets[i], objective=objective)
             assert error == errors[i]
             np.testing.assert_array_equal(grad, grads[i])

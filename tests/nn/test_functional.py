@@ -39,6 +39,74 @@ class TestIm2Col:
         assert abs(lhs - rhs) < 1e-9
 
 
+def _patch_loop(x, kernel, stride, padding):
+    """im2col by explicit patch extraction: row ``(c, i, j)``, column
+    ``(oy, ox)`` holds ``x_padded[c, oy * sh + i, ox * sw + j]``."""
+    n, c, h, w = x.shape
+    (kh, kw), (sh, sw), (ph, pw) = kernel, stride, padding
+    padded = np.zeros((n, c, h + 2 * ph, w + 2 * pw), dtype=x.dtype)
+    padded[:, :, ph:ph + h, pw:pw + w] = x
+    oh = (h + 2 * ph - kh) // sh + 1
+    ow = (w + 2 * pw - kw) // sw + 1
+    cols = np.empty((n, c * kh * kw, oh * ow), dtype=x.dtype)
+    for oy in range(oh):
+        for ox in range(ow):
+            patch = padded[:, :, oy * sh:oy * sh + kh, ox * sw:ox * sw + kw]
+            cols[:, :, oy * ow + ox] = patch.reshape(n, -1)
+    return cols
+
+
+# (input shape, kernel, stride, padding): the network's convolutions
+# (3x3/1 same, 4x4/2 encoder, 1x1 head), the pooling windows (2x2/2
+# and the 8x8/8 resolution bridge) and ragged or non-square cases.
+GEOMETRIES = [
+    ((2, 3, 8, 8), (3, 3), (1, 1), (1, 1)),
+    ((2, 2, 8, 8), (4, 4), (2, 2), (1, 1)),
+    ((1, 4, 5, 5), (1, 1), (1, 1), (0, 0)),
+    ((2, 1, 6, 6), (2, 2), (2, 2), (0, 0)),
+    ((1, 1, 16, 16), (8, 8), (8, 8), (0, 0)),
+    ((1, 2, 7, 9), (3, 3), (2, 2), (0, 0)),
+    ((2, 2, 6, 7), (3, 2), (1, 2), (0, 1)),
+    ((1, 3, 11, 10), (5, 5), (3, 3), (2, 2)),
+]
+
+
+@pytest.mark.parametrize("shape,kernel,stride,padding", GEOMETRIES)
+class TestIm2ColGeometries:
+    def test_matches_patch_loop(self, rng, shape, kernel, stride, padding):
+        x = rng.normal(size=shape)
+        np.testing.assert_array_equal(
+            im2col(x, kernel, stride, padding),
+            _patch_loop(x, kernel, stride, padding))
+
+    def test_out_buffer_is_bit_identical(self, rng, shape, kernel, stride,
+                                         padding):
+        """The workspace path writes the same gather into ``out``."""
+        x = rng.normal(size=shape)
+        expected = im2col(x, kernel, stride, padding)
+        out = np.full(expected.shape, np.nan)
+        assert im2col(x, kernel, stride, padding, out=out) is out
+        np.testing.assert_array_equal(out, expected)
+
+    def test_keeps_f32(self, rng, shape, kernel, stride, padding):
+        """A gather is a copy: f32 columns are the f64 ones rounded."""
+        x = rng.normal(size=shape)
+        cols = im2col(x.astype(np.float32), kernel, stride, padding)
+        assert cols.dtype == np.float32
+        np.testing.assert_array_equal(
+            cols, im2col(x, kernel, stride, padding).astype(np.float32))
+
+    def test_col2im_is_adjoint(self, rng, shape, kernel, stride, padding):
+        x = rng.normal(size=shape)
+        cols = im2col(x, kernel, stride, padding)
+        y = rng.normal(size=cols.shape)
+        back = col2im(y, shape, kernel, stride, padding)
+        assert back.shape == shape
+        lhs = float((cols * y).sum())
+        rhs = float((x * back).sum())
+        assert abs(lhs - rhs) <= 1e-12 * float(np.abs(cols * y).sum())
+
+
 class TestConv2d:
     def test_shape_stride_padding(self, rng):
         x = Tensor(rng.normal(size=(2, 3, 9, 9)))

@@ -27,14 +27,15 @@ from repro.obs import profiler, trace
 SPANS_PER_FORWARD = 2
 
 
+def _timed(fn):
+    start = time.perf_counter()
+    fn()
+    return time.perf_counter() - start
+
+
 def _best_of(fn, repeats=7):
     fn()
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
+    return min(_timed(fn) for _ in range(repeats))
 
 
 def _disabled_span_cost(iterations=20000):
@@ -121,11 +122,17 @@ def test_pool_task_bookkeeping_under_5pct_of_forward(kernels64):
             for _ in range(iterations):
                 bookkeeping()
 
-        per_task = _best_of(loop, repeats=5) / iterations
+        # Interleaved rounds: a burst of machine load that lands on
+        # one side only skews a single round of the pair, and the best
+        # of each side is taken over the same stretch of time.
+        loop()
+        per_task = forward = float("inf")
+        for _ in range(9):
+            per_task = min(per_task, _timed(loop) / iterations)
+            forward = min(forward, _timed(lambda: engine.aerial(mask)))
     finally:
         pool_mod._WORKER_STATE["engines"] = saved
 
-    forward = _best_of(lambda: engine.aerial(mask))
     assert per_task < 0.05 * forward, (
         f"pool task bookkeeping costs {per_task * 1e6:.2f} us vs forward "
         f"{forward * 1e6:.2f} us ({100.0 * per_task / forward:.2f}%)")

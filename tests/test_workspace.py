@@ -1,14 +1,19 @@
-"""Workspace arenas must never alias buffers across dtypes.
+"""Workspace arenas: one slot per dtype, and the litho engine's arena.
 
 Regression tests for the composite ``(key, dtype)`` storage keys:
 before them, an arena shared by f32 and f64 call paths thrashed one
 slot per key (reallocating on every precision switch) — and worse, a
 same-shape request could hand an f32 caller a live f64 buffer's
-memory reinterpreted.
+memory reinterpreted.  The engine tests hold the arena's contract at
+its main user: a repeated call reuses every buffer, buffers follow the
+engine's precision, and no result handed back aliases the arena.
 """
 
 import numpy as np
+import pytest
 
+from repro.litho import ConditionSet, LithoEngine
+from repro.litho.engine import PRECISION_DTYPES
 from repro.workspace import Workspace
 
 
@@ -70,3 +75,53 @@ class TestDisabled:
         a = ws.get("buf", (2, 2), np.float64)
         b = ws.get("buf", (2, 2), np.float64)
         assert a is not b
+
+
+# Engine entry points a steady-state ILT/training loop repeats.
+ENGINE_CALLS = {
+    "aerial": lambda engine, masks, targets: engine.aerial(masks),
+    "gradient": lambda engine, masks, targets:
+        engine.error_and_gradient_wrt_mask(masks, targets),
+    "condition_gradient": lambda engine, masks, targets:
+        engine.condition_error_and_gradient_wrt_mask(masks, targets),
+}
+
+
+@pytest.mark.parametrize("call", sorted(ENGINE_CALLS))
+@pytest.mark.parametrize("precision", ["f64", "f32"])
+class TestEngineArena:
+    """The engine's own arena: reused across iterations, held in the
+    engine's precision, and never handed back to the caller."""
+
+    @pytest.fixture
+    def run(self, kernels32, precision, call):
+        engine = LithoEngine(kernels=kernels32, precision=precision,
+                             conditions=ConditionSet.parse("window"))
+        rng = np.random.default_rng(3)
+        masks = rng.random((3, 32, 32))
+        targets = (rng.random((3, 32, 32)) > 0.5).astype(float)
+        return engine, lambda: ENGINE_CALLS[call](engine, masks, targets)
+
+    def test_repeat_call_allocates_nothing(self, run):
+        engine, call = run
+        call()
+        misses, nbytes = engine.workspace.misses, engine.workspace.nbytes
+        call()
+        assert engine.workspace.misses == misses
+        assert engine.workspace.nbytes == nbytes
+
+    def test_buffers_in_engine_precision(self, run, precision):
+        engine, call = run
+        call()
+        rdtype, cdtype = PRECISION_DTYPES[precision]
+        dtypes = {dtype for _, dtype in engine.workspace._buffers}
+        assert dtypes and dtypes <= {np.dtype(rdtype), np.dtype(cdtype)}
+
+    def test_results_never_alias_the_arena(self, run):
+        engine, call = run
+        results = call()
+        results = results if isinstance(results, tuple) else (results,)
+        buffers = list(engine.workspace._buffers.values())
+        for result in results:
+            assert not any(np.shares_memory(result, buffer)
+                           for buffer in buffers)
