@@ -13,9 +13,8 @@ import numpy as np
 
 from repro.core import (GanOpcConfig, ILTGuidedPretrainer, MaskGenerator,
                         UNetMaskGenerator)
-from repro.ilt.gradient import litho_error_and_gradient_wrt_mask
 from repro.layoutgen import SyntheticDataset
-from repro.litho import LithoConfig, build_kernels
+from repro.litho import LithoConfig, LithoEngine, build_kernels
 
 GRID = 32
 ITERATIONS = 120
@@ -25,9 +24,10 @@ def _held_out_error(generator, dataset, indices, kernels, litho):
     errors = []
     for i in indices:
         mask = generator.generate(dataset.target(i))
-        error, _ = litho_error_and_gradient_wrt_mask(
-            mask, dataset.target(i), kernels, litho.threshold,
-            litho.resist_steepness)
+        error, _ = LithoEngine.for_kernels(
+            kernels).error_and_gradient_wrt_mask(
+            mask, dataset.target(i), threshold=litho.threshold,
+            resist_steepness=litho.resist_steepness)
         errors.append(error)
     return float(np.mean(errors))
 

@@ -498,9 +498,8 @@ def _run_table2_parallel(pipeline: Pipeline, generators: TrainedGenerators,
     state = {"clips": clips,
              "GAN-OPC": generator_payload(generators.gan),
              "PGAN-OPC": generator_payload(generators.pgan)}
-    shared_masks = SharedArray.create((len(methods), len(clips),
-                                       cfg.grid, cfg.grid), np.float64)
-    try:
+    with SharedArray.create((len(methods), len(clips), cfg.grid, cfg.grid),
+                            np.float64) as shared_masks:
         with WorkerPool(workers, litho_config=pipeline.litho,
                         precision=pipeline.engine.precision,
                         state=state) as pool:
@@ -512,9 +511,6 @@ def _run_table2_parallel(pipeline: Pipeline, generators: TrainedGenerators,
                  for slot in range(len(clips))],
                 label="parallel.table2")
         all_masks = np.array(shared_masks.array, copy=True)
-    finally:
-        shared_masks.close()
-        shared_masks.unlink()
 
     columns = {m: [None] * len(clips) for m in methods}
     masks = {m: [None] * len(clips) for m in methods}

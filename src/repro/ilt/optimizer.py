@@ -302,9 +302,3 @@ class ILTOptimizer:
             runtime_seconds=runtime,
             converged=converged,
         )
-
-    def refine(self, target: np.ndarray, initial_mask: np.ndarray,
-               max_iterations: int = 20) -> ILTResult:
-        """Few-step ILT refinement from a quasi-optimal mask (Fig. 6)."""
-        return self.optimize(target, initial_mask=initial_mask,
-                             max_iterations=max_iterations)

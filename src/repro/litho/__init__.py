@@ -7,8 +7,6 @@ and constant-threshold / sigmoid resist models, plus dose corners for
 process-variation-band evaluation.
 """
 
-from .aerial import (aerial_image, aerial_image_and_fields, mask_fields,
-                     mask_spectrum)
 from .conditions import PW_OBJECTIVES, Condition, ConditionSet
 from .config import LithoConfig, OpticsConfig
 from .engine import EngineStats, LithoEngine, real_spectrum
@@ -29,7 +27,6 @@ __all__ = [
     "KernelSet", "build_kernels", "clear_cache", "config_hash",
     "save_kernels", "load_kernels",
     "frequency_grid", "pupil_function", "source_points", "source_map",
-    "mask_spectrum", "mask_fields", "aerial_image", "aerial_image_and_fields",
     "hard_resist", "sigmoid_resist", "sigmoid_mask", "binarize_mask",
     "LithoSimulator", "ProcessCorners",
     "ProcessWindow", "process_window_matrix", "exposure_latitude",

@@ -58,9 +58,10 @@ Two single-process fast paths are built in:
 Engines are cheap but not free (building them reads the
 ``O(K * H * W)`` kernel tensor and lowers it to real kernels), so
 :meth:`LithoEngine.for_kernels` memoizes one engine per
-(:class:`~repro.litho.kernels.KernelSet`, precision) pair — the
-facades in :mod:`repro.litho.aerial`, :mod:`repro.litho.simulator` and
-:mod:`repro.ilt` all share it automatically.
+(:class:`~repro.litho.kernels.KernelSet`, precision) pair: the ILT
+optimizer, Algorithm 2, the flow, the metrics and
+:class:`~repro.litho.simulator.LithoSimulator` all call that shared
+engine directly.
 """
 
 from __future__ import annotations
@@ -895,7 +896,27 @@ class LithoEngine:
             mask_steepness: Optional[float] = None,
             dose: float = 1.0) -> Tuple[ArrayOrScalar, np.ndarray]:
         """Relaxed litho error and gradient w.r.t. unconstrained ILT
-        parameters ``M`` (Eq. 14 in full, including the mask sigmoid)."""
+        parameters ``M`` (Eq. 14 in full, including the mask sigmoid).
+
+        ILT minimizes the relaxed lithography error
+
+            E = || Z_t - Z ||^2,     Z = sigma(alpha * (I(M_b) - I_th)),
+            M_b = sigma(beta * M)                      (Eqs. 11-13)
+
+        by steepest descent on ``M``.  The chain rule through the
+        coherent-kernel imaging model gives the multi-kernel
+        generalization of Eq. 14:
+
+            dE/dI   = 2 alpha * (Z - Z_t) . Z . (1 - Z)
+            dE/dM_b = sum_k 2 w_k Re[ IFFT( FFT(dE/dI . conj(A_k)) . H_k(-f) ) ]
+            dE/dM   = beta * M_b . (1 - M_b) . dE/dM_b
+
+        with ``A_k = M_b (x) h_k`` the coherent fields.  ``H_k(-f)`` is
+        the frequency response of the *adjoint* (correlation) operator;
+        for the symmetric sources used here it coincides with the
+        paper's pairing of ``H`` and ``H*`` terms.  The test suite
+        checks the result against central finite differences.
+        """
         return self._through_mask_sigmoid(
             mask_params, mask_steepness,
             lambda relaxed: self.error_and_gradient_wrt_mask(

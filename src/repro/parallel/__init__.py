@@ -2,14 +2,20 @@
 
 The litho/ILT workloads downstream of Algorithm 2 and the Fig. 6 flow
 are dominated by per-clip computations that share nothing but the
-kernel set: reference-mask generation for the training library, the
-Table 2 / ICCAD-benchmark evaluation, and batch inference.  This
-package fans them across a process pool (:class:`WorkerPool`), with
+kernel set.  Four fan-outs run them one clip (or tile) per task:
+:func:`parallel_ilt` (per-clip :class:`~repro.ilt.ILTOptimizer` runs),
+:func:`parallel_flow` (the GAN-OPC flow and the clip-parallel Table 2),
+``SyntheticDataset.precompute(workers=N)`` (the training library) and
+the tiled full-chip runner in :mod:`repro.tiling`.  This package
+provides
 
-* one warm :class:`~repro.litho.engine.LithoEngine` per worker
-  (kernels loaded once; inherited from the parent under ``fork``),
+* a process pool (:class:`WorkerPool`) with one warm
+  :class:`~repro.litho.engine.LithoEngine` per worker (kernels loaded
+  once; inherited from the parent under ``fork``),
 * shared-memory ndarray transport (:class:`SharedArray` /
-  :class:`ShmSpec`) so image batches are never pickled,
+  :class:`ShmSpec`) so image batches are never pickled; the parent
+  creates every segment in a ``with SharedArray...`` block, so it is
+  unlinked however the fan-out ends,
 * strict error discipline (:class:`WorkerTaskError` carries remote
   tracebacks; a dead worker raises :class:`WorkerCrashError`, never a
   hang), and
@@ -21,8 +27,7 @@ counterparts; float32 precision mode is covered by the documented
 tolerance in DESIGN.md §10.
 """
 
-from .ilt import (ParallelILTResult, parallel_batched_ilt, parallel_ilt,
-                  shard_bounds)
+from .ilt import ParallelILTResult, parallel_ilt
 from .flow import generator_payload, parallel_flow
 from .pool import (PoolStats, WorkerCrashError, WorkerPool, WorkerTaskError,
                    attach_array, default_context, worker_engine, worker_state)
@@ -31,7 +36,7 @@ from .shm import SharedArray, ShmSpec
 __all__ = [
     "WorkerPool", "PoolStats", "WorkerTaskError", "WorkerCrashError",
     "SharedArray", "ShmSpec",
-    "parallel_ilt", "parallel_batched_ilt", "ParallelILTResult",
-    "parallel_flow", "generator_payload", "shard_bounds",
+    "parallel_ilt", "ParallelILTResult",
+    "parallel_flow", "generator_payload",
     "attach_array", "worker_engine", "worker_state", "default_context",
 ]

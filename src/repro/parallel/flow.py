@@ -159,21 +159,18 @@ def parallel_flow(generator: MaskGenerator, targets: np.ndarray,
         pool = WorkerPool(workers, litho_config=litho_config,
                           precision=precision,
                           state=generator_payload(generator))
-    shared_targets = SharedArray.from_array(targets)
-    shared_out = SharedArray.create((4, n, grid, grid), np.float64)
     try:
-        reports = pool.map(
-            _flow_task,
-            [(i, shared_targets.spec, shared_out.spec, litho_config,
-              refine_config, refine_iterations, conditions)
-             for i in range(n)],
-            label="parallel.flow", progress=progress)
-        out = np.array(shared_out.array, copy=True)
+        with SharedArray.from_array(targets) as shared_targets, \
+                SharedArray.create((4, n, grid, grid),
+                                   np.float64) as shared_out:
+            reports = pool.map(
+                _flow_task,
+                [(i, shared_targets.spec, shared_out.spec, litho_config,
+                  refine_config, refine_iterations, conditions)
+                 for i in range(n)],
+                label="parallel.flow", progress=progress)
+            out = np.array(shared_out.array, copy=True)
     finally:
-        shared_targets.close()
-        shared_targets.unlink()
-        shared_out.close()
-        shared_out.unlink()
         if own_pool:
             pool.shutdown()
 

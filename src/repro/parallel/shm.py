@@ -13,8 +13,9 @@ and histories crosses the pickle boundary.
 
 Lifetime rules:
 
-* the **parent** owns every segment: it calls :meth:`SharedArray.unlink`
-  (usually via the context manager) once all tasks have finished;
+* the **parent** owns every segment and creates it in a ``with`` block,
+  whose exit closes and unlinks it once all tasks have finished, or
+  when the fan-out fails part way;
 * **workers** only ever attach and close; attachment is explicitly
   excluded from the ``resource_tracker`` so a worker exiting does not
   tear down (or spuriously warn about) a segment the parent still owns
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from multiprocessing import shared_memory
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -134,10 +135,3 @@ class SharedArray:
         role = "owner" if self.owner else "attached"
         return (f"SharedArray({self.spec.name}, shape={self.spec.shape}, "
                 f"dtype={self.spec.dtype}, {role})")
-
-
-def copy_out(shared: Optional[SharedArray]) -> Optional[np.ndarray]:
-    """Private copy of a shared array's contents (survives unlink)."""
-    if shared is None:
-        return None
-    return np.array(shared.array, copy=True)

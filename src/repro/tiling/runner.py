@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import os
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Optional
 
@@ -268,34 +269,26 @@ def _run_tiled(target: np.ndarray, config: TilingConfig,
             pool = WorkerPool(workers, litho_config=litho_config,
                               precision=precision, state=state)
         chip_grid = tile_grid.chip_grid
-        shared_chip = SharedArray.from_array(target)
-        shared_out = SharedArray.create((2, chip_grid, chip_grid),
-                                        np.float64)
-        shared_windows = (
-            SharedArray.create((len(tiles), config.tile, config.tile),
-                               np.float64)
-            if config.blend > 0 else None)
         try:
-            reports = pool.map(
-                task_fn,
-                [(tile.index, shared_chip.spec, shared_out.spec,
-                  shared_windows.spec if shared_windows is not None
-                  else None, tile_grid) + task_args
-                 for tile in tiles],
-                label="tiling.map", progress=progress)
-            mask = np.array(shared_out.array[0], copy=True)
-            relaxed = np.array(shared_out.array[1], copy=True)
-            if shared_windows is not None:
-                relaxed = stitch_feathered(
-                    list(shared_windows.array), tile_grid, config.blend)
+            with SharedArray.from_array(target) as shared_chip, \
+                    SharedArray.create((2, chip_grid, chip_grid),
+                                       np.float64) as shared_out, \
+                    (SharedArray.create((len(tiles), config.tile, config.tile),
+                                        np.float64)
+                     if config.blend > 0 else nullcontext()) as shared_windows:
+                reports = pool.map(
+                    task_fn,
+                    [(tile.index, shared_chip.spec, shared_out.spec,
+                      shared_windows.spec if shared_windows is not None
+                      else None, tile_grid) + task_args
+                     for tile in tiles],
+                    label="tiling.map", progress=progress)
+                mask = np.array(shared_out.array[0], copy=True)
+                relaxed = np.array(shared_out.array[1], copy=True)
+                if shared_windows is not None:
+                    relaxed = stitch_feathered(
+                        list(shared_windows.array), tile_grid, config.blend)
         finally:
-            shared_chip.close()
-            shared_chip.unlink()
-            shared_out.close()
-            shared_out.unlink()
-            if shared_windows is not None:
-                shared_windows.close()
-                shared_windows.unlink()
             if own_pool:
                 pool.shutdown()
 

@@ -40,11 +40,11 @@ class TestFlow:
     def test_refinement_improves_on_generation(self, flow, sim32):
         """The ILT refinement stage must not print worse than the raw
         generated mask."""
-        from repro.ilt.gradient import discrete_l2
+        from repro.metrics.l2 import squared_l2
         target = _target()
         result = flow.optimize(target)
         raw_wafer = sim32.wafer_image((result.generated_mask >= 0.5).astype(float))
-        raw_l2 = discrete_l2(raw_wafer, target)
+        raw_l2 = squared_l2(raw_wafer, target)
         assert result.l2 <= raw_l2
 
     def test_refine_iterations_override(self, flow):

@@ -108,6 +108,7 @@ class TestWarmStart:
         refiner = ILTOptimizer(litho32,
                                ILTConfig(max_iterations=80, patience=3),
                                kernels=kernels32)
-        refined = refiner.refine(target, first.mask, max_iterations=40)
+        refined = refiner.optimize(target, initial_mask=first.mask,
+                                   max_iterations=40)
         assert refined.l2 <= first.l2 + 4
         assert refined.iterations <= 40

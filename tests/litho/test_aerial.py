@@ -3,8 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.litho import (aerial_image, aerial_image_and_fields, mask_fields,
-                         mask_spectrum)
+from repro.litho import LithoEngine
+
+
+@pytest.fixture(scope="module")
+def engine(kernels32):
+    return LithoEngine.for_kernels(kernels32)
 
 
 def _wire_mask(grid=32, width=10):
@@ -15,73 +19,73 @@ def _wire_mask(grid=32, width=10):
 
 
 class TestAerialImage:
-    def test_clear_field_is_one(self, kernels32):
-        intensity = aerial_image(np.ones((32, 32)), kernels32)
+    def test_clear_field_is_one(self, engine):
+        intensity = engine.aerial(np.ones((32, 32)))
         np.testing.assert_allclose(intensity, 1.0, rtol=1e-9)
 
-    def test_dark_field_is_zero(self, kernels32):
-        intensity = aerial_image(np.zeros((32, 32)), kernels32)
+    def test_dark_field_is_zero(self, engine):
+        intensity = engine.aerial(np.zeros((32, 32)))
         np.testing.assert_allclose(intensity, 0.0, atol=1e-12)
 
-    def test_nonnegative(self, kernels32, rng):
-        intensity = aerial_image(rng.random((32, 32)), kernels32)
+    def test_nonnegative(self, engine, rng):
+        intensity = engine.aerial(rng.random((32, 32)))
         assert np.all(intensity >= 0)
 
-    def test_dose_scales_linearly(self, kernels32):
+    def test_dose_scales_linearly(self, engine):
         mask = _wire_mask()
-        nominal = aerial_image(mask, kernels32)
-        overdose = aerial_image(mask, kernels32, dose=1.02)
+        nominal = engine.aerial(mask)
+        overdose = engine.aerial(mask, dose=1.02)
         np.testing.assert_allclose(overdose, nominal * 1.02, rtol=1e-12)
 
-    def test_translation_equivariance(self, kernels32):
+    def test_translation_equivariance(self, engine):
         """Shifting the mask circularly shifts the image (the imaging
         operator is a sum of convolutions)."""
         mask = _wire_mask()
         shifted = np.roll(mask, (3, 5), axis=(0, 1))
         np.testing.assert_allclose(
-            aerial_image(shifted, kernels32),
-            np.roll(aerial_image(mask, kernels32), (3, 5), axis=(0, 1)),
+            engine.aerial(shifted),
+            np.roll(engine.aerial(mask), (3, 5), axis=(0, 1)),
             atol=1e-9)
 
-    def test_intensity_peaks_inside_pattern(self, kernels32):
+    def test_intensity_peaks_inside_pattern(self, engine):
         mask = _wire_mask()
-        intensity = aerial_image(mask, kernels32)
+        intensity = engine.aerial(mask)
         inside_mean = intensity[mask > 0.5].mean()
         outside_mean = intensity[mask < 0.5].mean()
         assert inside_mean > 3 * outside_mean
 
-    def test_lowpass_blurs_edges(self, kernels32):
+    def test_lowpass_blurs_edges(self, engine):
         """The aerial image of a sharp edge must be smooth: finite
         optical bandwidth cannot reproduce a step."""
         mask = _wire_mask()
-        intensity = aerial_image(mask, kernels32)
+        intensity = engine.aerial(mask)
         row = intensity[16]
         assert np.abs(np.diff(row)).max() < 0.5  # no step-like jump
 
-    def test_rejects_non_square(self, kernels32):
+    def test_rejects_non_square(self, engine):
         with pytest.raises(ValueError):
-            aerial_image(np.zeros((16, 32)), kernels32)
+            engine.aerial(np.zeros((16, 32)))
 
-    def test_rejects_grid_mismatch(self, kernels32):
+    def test_rejects_grid_mismatch(self, engine):
         with pytest.raises(ValueError):
-            aerial_image(np.zeros((64, 64)), kernels32)
+            engine.aerial(np.zeros((64, 64)))
 
 
 class TestFields:
-    def test_fields_shape(self, kernels32):
-        fields = mask_fields(_wire_mask(), kernels32)
+    def test_fields_shape(self, engine):
+        fields = engine.fields(_wire_mask())
         assert fields.shape == (24, 32, 32)
         assert np.iscomplexobj(fields)
 
-    def test_spectrum_reuse_consistent(self, kernels32):
+    def test_spectrum_reuse_consistent(self, engine):
         mask = _wire_mask()
-        spectrum = mask_spectrum(mask)
-        np.testing.assert_allclose(mask_fields(mask, kernels32),
-                                   mask_fields(mask, kernels32, spectrum))
+        spectrum = engine.spectrum(mask)
+        np.testing.assert_allclose(engine.fields(mask),
+                                   engine.fields(mask, spectrum))
 
-    def test_intensity_equals_weighted_field_power(self, kernels32):
+    def test_intensity_equals_weighted_field_power(self, engine):
         mask = _wire_mask()
-        intensity, fields = aerial_image_and_fields(mask, kernels32)
-        manual = np.einsum("k,kxy->xy", kernels32.weights,
+        intensity, fields = engine.aerial_and_fields(mask)
+        manual = np.einsum("k,kxy->xy", engine.kernels.weights,
                            np.abs(fields) ** 2)
         np.testing.assert_allclose(intensity, manual)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.geometry import Layout, Rect
-from repro.ilt.gradient import discrete_l2
+from repro.metrics.l2 import squared_l2
 from repro.opc import MbOpcConfig, ModelBasedOPC
 
 
@@ -69,7 +69,7 @@ class TestOptimize:
         from repro.geometry import rasterize
         layout = _clip()
         target = (rasterize(layout, 64) >= 0.5).astype(float)
-        baseline = discrete_l2(sim64.wafer_image(target), target)
+        baseline = squared_l2(sim64.wafer_image(target), target)
         result = engine.optimize(layout)
         assert result.l2 < baseline
 
