@@ -185,3 +185,10 @@ class TestTable2Parity:
                 assert serial.l2_nm2 == pytest.approx(parallel.l2_nm2)
                 assert serial.pvband_nm2 == \
                     pytest.approx(parallel.pvband_nm2)
+
+    def test_parallel_run_unlinks_mask_segment(self, pipeline, generators,
+                                               shm_segments):
+        clips = iccad13_suite(pipeline.litho)[:1]
+        result = run_table2(pipeline, generators, clips=clips, workers=2)
+        assert len(result.masks["ILT"]) == 1
+        shm_segments.assert_all_unlinked()

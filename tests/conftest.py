@@ -56,6 +56,41 @@ def rng() -> np.random.Generator:
     return np.random.default_rng(1234)
 
 
+class SegmentLog:
+    """Specs of the shared-memory segments created while recording."""
+
+    def __init__(self):
+        self.specs = []
+
+    def assert_all_unlinked(self) -> None:
+        """At least one segment was created, and attaching to any of
+        them now raises: none is left in ``/dev/shm``."""
+        from repro.parallel.shm import SharedArray
+
+        assert self.specs
+        for spec in self.specs:
+            with pytest.raises(FileNotFoundError):
+                SharedArray.attach(spec)
+
+
+@pytest.fixture()
+def shm_segments(monkeypatch) -> SegmentLog:
+    """Record every segment ``SharedArray`` creates during the test
+    (``from_array`` goes through ``create``, so this sees them all)."""
+    from repro.parallel.shm import SharedArray
+
+    log = SegmentLog()
+    create = SharedArray.__dict__["create"].__func__
+
+    def recording_create(cls, shape, dtype):
+        shared = create(cls, shape, dtype)
+        log.specs.append(shared.spec)
+        return shared
+
+    monkeypatch.setattr(SharedArray, "create", classmethod(recording_create))
+    return log
+
+
 def numeric_gradient(func, array: np.ndarray, eps: float = 1e-6) -> np.ndarray:
     """Central-difference gradient of a scalar function of ``array``.
 
